@@ -68,18 +68,9 @@ type trajectory struct {
 	Series []entry `json:"series"`
 }
 
-// legacyReport parses the pre-trajectory single-entry format (PR 2).
-type legacyReport struct {
-	GoVersion  string        `json:"go_version"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
-	NumCPU     int           `json:"num_cpu"`
-	Note       string        `json:"note,omitempty"`
-	Benchmarks []benchResult `json:"benchmarks"`
-}
-
-// loadTrajectory reads path, migrating the legacy single-entry format
-// into a one-entry series. A missing file is an empty trajectory.
+// loadTrajectory reads path. A missing file is an empty trajectory; a
+// file without a "series" array is an error, so a hand-mangled committed
+// series is refused rather than overwritten.
 func loadTrajectory(path string) (trajectory, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -89,29 +80,13 @@ func loadTrajectory(path string) (trajectory, error) {
 		return trajectory{}, err
 	}
 	var tr trajectory
-	if err := json.Unmarshal(data, &tr); err == nil && tr.Series != nil {
-		return tr, nil
-	}
-	var legacy legacyReport
-	if err := json.Unmarshal(data, &legacy); err != nil {
+	if err := json.Unmarshal(data, &tr); err != nil {
 		return trajectory{}, fmt.Errorf("parse %s: %w", path, err)
 	}
-	if len(legacy.Benchmarks) == 0 {
-		// Unmarshal into the legacy shape "succeeds" on any JSON object
-		// (unknown fields are ignored), so an empty benchmark list means
-		// the file is neither format — refuse rather than fabricate an
-		// entry and clobber a possibly hand-mangled committed series.
-		return trajectory{}, fmt.Errorf("parse %s: neither trajectory nor legacy bench format", path)
+	if tr.Series == nil {
+		return trajectory{}, fmt.Errorf("parse %s: not a trajectory file (no \"series\" array)", path)
 	}
-	return trajectory{Series: []entry{{
-		Label:      "pr2-arena",
-		GoVersion:  legacy.GoVersion,
-		GOOS:       legacy.GOOS,
-		GOARCH:     legacy.GOARCH,
-		NumCPU:     legacy.NumCPU,
-		Note:       legacy.Note,
-		Benchmarks: legacy.Benchmarks,
-	}}}, nil
+	return tr, nil
 }
 
 func measure(c benchCase) benchResult {
@@ -432,9 +407,11 @@ const minGenSpeedup = 1.3
 // full-scale entry shows the headline multiple, the quick n=512 case
 // measures ~1.7×; 1.4 leaves noise room while catching any change that
 // erases lockstep execution's win. The Byzantine-arena batch case is
-// reported but not gated: its runtime is dominated by per-lane
-// verification reruns that batching cannot amortize, so its ratio
-// hovers near 1 and below at small n.
+// reported but not gated: it measures below 1 (0.71× at the quick n=512
+// on a 2-vCPU machine). Batching shares only the flood traversal; each
+// lane still runs its own topology exchange, attestation searches and
+// adversary callbacks, and which of those holds the ratio down has not
+// been measured.
 const minBatchSpeedup = 1.4
 
 // compare re-measures the core/run benchmarks of the baseline's last

@@ -29,10 +29,7 @@ func goldenLaneSpec(t testing.TB, gc goldenCase, mode core.FrontierMode) core.La
 	if gc.byzCount > 0 {
 		byz = hgraph.PlaceByzantine(goldenN, gc.byzCount, rng.New(goldenByzSeed))
 	}
-	adv, ok := adversary.ByName(gc.adversary)
-	if !ok {
-		t.Fatalf("unknown adversary %q", gc.adversary)
-	}
+	adv := goldenAdversary(t, gc)
 	cfg := core.Config{
 		Algorithm:      gc.algorithm,
 		Seed:           goldenRunSeed,

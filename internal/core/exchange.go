@@ -1,6 +1,11 @@
 package core
 
-import "repro/internal/graph"
+import (
+	"math"
+	"slices"
+
+	"repro/internal/graph"
+)
 
 // runExchange simulates Algorithm 2 lines 1–2: every node asks its
 // G-neighbors for adjacency information, reconstructs its k-ball in H, and
@@ -62,90 +67,119 @@ func (w *World) runExchange() {
 	}
 }
 
+// claim is one adjacency list a Byzantine node reported to the current
+// victim.
+type claim struct {
+	node int32
+	adj  []int32
+}
+
 // exchangeAtVictim collects the claims made to v, builds v's believed ball,
 // and applies the crash rule.
 func (w *World) exchangeAtVictim(v int, scratch *graph.BFS) {
-	h := w.Net.H
-	k := w.Net.K
-	d := w.Net.Params.D
+	// v's channel set is its ground-truth k-ball (the adversary cannot
+	// fabricate wires): y is a channel iff chanDist[y] != graph.Unreached.
+	// scratch is not reused below, so chanDist stays valid.
+	ballNodes, chanDist := graph.BallWith(scratch, v, w.Net.K)
 
-	// v's channel set: ground truth, the adversary cannot fabricate wires.
-	ballNodes, _ := graph.BallWith(scratch, v, k)
-	channels := make(map[int32]bool, len(ballNodes))
-	for _, x := range ballNodes {
-		channels[x] = true
-	}
-
-	// Collect per-victim claims from every Byzantine node v can hear.
-	var claims map[int32][]int32
+	// Collect the claims, asking v's Byzantine channels in BFS order:
+	// stateful adversaries draw their claims from a stream.
+	claims := w.exchClaims[:0]
 	for _, x := range ballNodes {
 		if !w.Byz[x] {
 			continue
 		}
-		claimed := w.adv.ClaimHNeighbors(w, int(x), v)
-		if claimed == nil {
-			continue
+		if adj := w.adv.ClaimHNeighbors(w, int(x), v); adj != nil {
+			claims = append(claims, claim{node: x, adj: adj})
 		}
-		if claims == nil {
-			claims = make(map[int32][]int32)
-		}
-		claims[x] = claimed
 	}
-	if claims == nil {
+	w.exchClaims = claims
+	if len(claims) == 0 {
 		return // everyone reported truthfully; reconstruction is exact
 	}
 
-	adjOf := func(x int32) []int32 {
-		if c, ok := claims[x]; ok {
-			return c
-		}
-		return h.Neighbors(int(x))
+	if !w.claimedBallConsistent(v, chanDist, claims) {
+		w.crashed[v] = true
+		return
 	}
-	contains := func(list []int32, y int32) bool {
-		for _, e := range list {
-			if e == y {
-				return true
-			}
+	view := make(map[int32][]int32, len(claims))
+	for _, c := range claims {
+		view[c.node] = c.adj
+	}
+	w.views[v] = view
+}
+
+// claimedBallConsistent runs v's BFS over the claimed topology to radius
+// k and reports whether every adjacency list it expands passes the crash
+// rule. Claimers are stamped in exchClaimEpoch (their claim index in
+// exchClaimIdx) and reached nodes in exchSeen, both with the current
+// exchEpoch, so no per-victim state needs clearing.
+func (w *World) claimedBallConsistent(v int, chanDist []int32, claims []claim) bool {
+	n := w.N()
+	if len(w.exchSeen) != n {
+		w.exchSeen = make([]int32, n)
+		w.exchClaimEpoch = make([]int32, n)
+		w.exchClaimIdx = make([]int32, n)
+		w.exchEpoch = 0
+	}
+	if w.exchEpoch == math.MaxInt32 {
+		clear(w.exchSeen)
+		clear(w.exchClaimEpoch)
+		w.exchEpoch = 0
+	}
+	w.exchEpoch++
+	ep := w.exchEpoch
+	for i, c := range claims {
+		w.exchClaimEpoch[c.node] = ep
+		w.exchClaimIdx[c.node] = int32(i)
+	}
+	adjOf := func(x int32) []int32 {
+		if w.exchClaimEpoch[x] == ep {
+			return claims[w.exchClaimIdx[x]].adj
 		}
-		return false
+		return w.topo.hAdj[w.topo.hOff[x]:w.topo.hOff[x+1]]
 	}
 
-	// BFS over the claimed topology, radius k, validating as we go.
-	dist := map[int32]int{int32(v): 0}
-	queue := []int32{int32(v)}
-	crash := false
-	for head := 0; head < len(queue) && !crash; head++ {
-		x := queue[head]
-		dx := dist[x]
-		if dx >= k {
-			continue
+	k, d := w.Net.K, w.Net.Params.D
+	seen := w.exchSeen
+	seen[v] = ep
+	queue := append(w.exchQueue[:0], int32(v))
+	ok := true
+	// The queue holds one BFS layer after another; layerEnd marks where
+	// the layer at distance depth ends. Nodes at distance k are reached
+	// (and checked as endpoints) but not expanded.
+	depth, layerEnd := 0, 1
+bfs:
+	for head := 0; head < len(queue); head++ {
+		if head == layerEnd {
+			depth, layerEnd = depth+1, len(queue)
 		}
+		if depth >= k {
+			break
+		}
+		x := queue[head]
 		adj := adjOf(x)
 		if len(adj) != d {
 			// A node whose claimed degree differs from d cannot be a node
 			// of the d-regular H.
-			crash = true
+			ok = false
 			break
 		}
 		for _, y := range adj {
-			if !channels[y] && y != int32(v) {
-				crash = true // phantom: claimed within distance k, no channel
-				break
+			if y < 0 || int(y) >= n || chanDist[y] == graph.Unreached {
+				ok = false // phantom: claimed within distance k, no channel
+				break bfs
 			}
-			if !contains(adjOf(y), x) {
-				crash = true // the endpoint denies the edge
-				break
+			if !slices.Contains(adjOf(y), x) {
+				ok = false // the endpoint denies the edge
+				break bfs
 			}
-			if _, seen := dist[y]; !seen {
-				dist[y] = dx + 1
+			if seen[y] != ep {
+				seen[y] = ep
 				queue = append(queue, y)
 			}
 		}
 	}
-
-	if crash {
-		w.crashed[v] = true
-		return
-	}
-	w.views[v] = claims
+	w.exchQueue = queue
+	return ok
 }

@@ -144,6 +144,59 @@ func TestExchangePhantomCrashes(t *testing.T) {
 	}
 }
 
+// Malformed claims: an ID past the last node, a negative ID, and a
+// duplicate entry. The claimed-topology BFS indexes arrays by node ID, so
+// the out-of-range IDs must crash the victim before they index anything,
+// and the duplicate (which hides the entry it overwrote) must crash the
+// hidden neighbor. A whole run over each claim must not panic either.
+func TestExchangeMalformedClaimsCrash(t *testing.T) {
+	const n, b = 256, 40
+	net, err := hgraph.New(hgraph.Params{N: n, D: 8, Seed: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if net.K < 2 {
+		t.Fatalf("k = %d: b's neighbors would never expand its claim", net.K)
+	}
+	truth := net.H.Neighbors(b)
+	if truth[0] == truth[1] || truth[0] == b {
+		t.Fatalf("node %d: first two neighbors %v do not give a hidden neighbor", b, truth[:2])
+	}
+	withEntry := func(id int32) []int32 {
+		claim := append([]int32(nil), truth...)
+		claim[0] = id
+		return claim
+	}
+	for _, tc := range []struct {
+		name    string
+		claim   []int32
+		victims []int32 // honest nodes that must crash
+	}{
+		{"node n", withEntry(n), net.H.UniqueNeighbors(b)},
+		{"node -1", withEntry(-1), net.H.UniqueNeighbors(b)},
+		{"duplicate", withEntry(truth[1]), []int32{truth[0]}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			adv := &scriptedLiar{claims: map[int][]int32{b: tc.claim}}
+			w, _ := exchangeWorld(t, n, []int{b}, adv)
+			for _, v := range tc.victims {
+				if !w.crashed[v] {
+					t.Errorf("victim %d accepted the claim %v", v, tc.claim)
+				}
+			}
+			byz := make([]bool, n)
+			byz[b] = true
+			res, err := Run(net, byz, adv, Config{Algorithm: AlgorithmByzantine, Seed: 5, MaxPhase: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CrashedCount < len(tc.victims) {
+				t.Errorf("run crashed %d nodes, want at least %d", res.CrashedCount, len(tc.victims))
+			}
+		})
+	}
+}
+
 // Crashed nodes must stay silent for the whole run and never decide.
 func TestCrashedNodesAreSilent(t *testing.T) {
 	const b = 10

@@ -42,7 +42,7 @@ func resultDigest(t testing.TB, res *core.Result) string {
 type goldenCase struct {
 	name      string
 	algorithm core.Algorithm
-	adversary string // adversary.ByName key
+	adversary string // adversary.ByName key, or "chaos" (see goldenAdversary)
 	byzCount  int
 	churn     int
 	loss      float64 // MessageLoss probability (0 = reliable links)
@@ -94,6 +94,34 @@ var goldenCases = []goldenCase{
 		digest: "1c03562a7995637c4c87e67125118bd96c783d287b0963d250ef6ba681935595"},
 	{name: "byzantine/inflate/join+loss+churn", algorithm: core.AlgorithmByzantine, adversary: "inflate", byzCount: 3, churn: 4, loss: 0.05, join: 6,
 		digest: "341fad05d1af4ce429d9e8083ad6b49e52dc29b8fbc7402b23f5c0cb8949e34b"},
+
+	// Exchange cases: adversaries whose topology claims reach the crash
+	// rule and the believed views. chaos draws its claims from a stream,
+	// so its digest also pins the order in which victims are asked.
+	// topology-liar and combo make the same claims, which crash all but 7
+	// honest nodes here; the two runs then come out identical, so they
+	// share a digest.
+	{name: "byzantine/topology-liar", algorithm: core.AlgorithmByzantine, adversary: "topology-liar", byzCount: 3,
+		digest: "f7c31addf0efb6a44146ac844384c81dacd79079c063a504dfccd5164f988947"},
+	{name: "byzantine/chaos", algorithm: core.AlgorithmByzantine, adversary: "chaos", byzCount: 3,
+		digest: "616230c63335989c19bad9580ed50146d0d35a9b9dac9cb5a421f50e5427c227"},
+}
+
+// goldenChaosSeed seeds the chaos case's adversary stream.
+const goldenChaosSeed = 704
+
+// goldenAdversary returns a fresh adversary for gc. "chaos" is not in
+// adversary.ByName (it needs a seed), so the grid builds it here.
+func goldenAdversary(t testing.TB, gc goldenCase) core.Adversary {
+	t.Helper()
+	if gc.adversary == "chaos" {
+		return &adversary.Chaos{Seed: goldenChaosSeed}
+	}
+	adv, ok := adversary.ByName(gc.adversary)
+	if !ok {
+		t.Fatalf("unknown adversary %q", gc.adversary)
+	}
+	return adv
 }
 
 func runGoldenCase(t testing.TB, net *hgraph.Network, gc goldenCase, workers int) *core.Result {
@@ -107,10 +135,7 @@ func runGoldenCaseMode(t testing.TB, net *hgraph.Network, gc goldenCase, workers
 	if gc.byzCount > 0 {
 		byz = hgraph.PlaceByzantine(goldenN, gc.byzCount, rng.New(goldenByzSeed))
 	}
-	adv, ok := adversary.ByName(gc.adversary)
-	if !ok {
-		t.Fatalf("unknown adversary %q", gc.adversary)
-	}
+	adv := goldenAdversary(t, gc)
 	cfg := core.Config{
 		Algorithm:      gc.algorithm,
 		Seed:           goldenRunSeed,

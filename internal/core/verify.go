@@ -28,18 +28,16 @@ func (w *World) verifyColor(v int, from int32, c int64, t int) bool {
 	}
 	m-- // chain length beyond the sender
 	var visited [8]int32
-	ok := w.attestChain(v, from, c, t-1, m, visited[:0])
+	ok, asked := w.attestChain(v, from, c, t-1, m, visited[:0])
+	// Each query/response pair travels over an L edge: constant IDs plus
+	// O(log) payload. Every query of one verification has the same size,
+	// so the whole search is charged at once.
+	w.counters.CountMessages(2*asked, messageBits(c)+64)
 	return ok
 }
 
-// attest asks node x whether it held a color >= c after round r.
+// attest asks node x whether it held a color >= c after round r >= 0.
 func (w *World) attest(v int, x int32, c int64, r int) bool {
-	if r < 0 {
-		return false
-	}
-	// Each query/response pair travels over an L edge: constant IDs plus
-	// O(log) payload.
-	w.counters.CountMessages(2, messageBits(c)+64)
 	if w.Byz[x] {
 		return w.adv.Attest(w, int(x), v, c, r)
 	}
@@ -50,24 +48,32 @@ func (w *World) attest(v int, x int32, c int64, r int) bool {
 }
 
 // attestChain checks x's attestation for round r and, if the budget is not
-// exhausted, searches x's believed neighbors for the rest of the chain.
-func (w *World) attestChain(v int, x int32, c int64, r int, budget int, path []int32) bool {
+// exhausted, searches x's believed neighbors for the rest of the chain. It
+// also returns how many attest queries the search sent; a round before 0
+// needs no query, since nothing was held then.
+func (w *World) attestChain(v int, x int32, c int64, r int, budget int, path []int32) (ok bool, asked int) {
 	for _, p := range path {
 		if p == x {
-			return false // simple paths only
+			return false, 0 // simple paths only
 		}
+	}
+	if r < 0 {
+		return false, 0
 	}
 	if !w.attest(v, x, c, r) {
-		return false
+		return false, 1
 	}
 	if budget == 0 {
-		return true
+		return true, 1
 	}
 	path = append(path, x)
+	asked = 1
 	for _, y := range w.viewNeighbors(v, x) {
-		if w.attestChain(v, y, c, r-1, budget-1, path) {
-			return true
+		found, a := w.attestChain(v, y, c, r-1, budget-1, path)
+		asked += a
+		if found {
+			return true, asked
 		}
 	}
-	return false
+	return false, asked
 }

@@ -96,9 +96,21 @@ type World struct {
 	occRounds   int64
 	occPerPhase []float64
 
-	// Reusable exchange scratch (Algorithm 2 preprocessing).
-	exchBFS  *graph.BFS
-	exchCand []bool
+	// Reusable exchange scratch (Algorithm 2 preprocessing; see
+	// exchange.go). exchBFS holds a victim's ground-truth k-ball, which is
+	// also its channel set. The claimed-topology BFS stamps the nodes it
+	// reaches (exchSeen) and the current victim's claimers
+	// (exchClaimEpoch, with their index into exchClaims in exchClaimIdx)
+	// with exchEpoch, one epoch per victim, so nothing is cleared between
+	// victims or runs.
+	exchBFS        *graph.BFS
+	exchCand       []bool
+	exchClaims     []claim
+	exchQueue      []int32
+	exchEpoch      int32
+	exchSeen       []int32
+	exchClaimEpoch []int32
+	exchClaimIdx   []int32
 
 	// candOverflows counts rounds in which a node saw more than
 	// maxCandidates improvement candidates (possible only at H-degree
