@@ -403,15 +403,18 @@ const minGenSpeedup = 1.3
 // minBatchSpeedup is the floor on the same-run scalar-vs-batched ratio
 // of the hiphase pair: per-run ns/op of the scalar frontier case over
 // the per-lane ns/op of its 16-lane batched counterpart at the same n.
-// The high-phase regime is where the shared traversal amortizes — the
-// full-scale entry shows the headline multiple, the quick n=512 case
-// measures ~1.7×; 1.4 leaves noise room while catching any change that
-// erases lockstep execution's win. The Byzantine-arena batch case is
-// reported but not gated: it measures below 1 (0.71× at the quick n=512
-// on a 2-vCPU machine). Batching shares only the flood traversal; each
-// lane still runs its own topology exchange, attestation searches and
-// adversary callbacks, and which of those holds the ratio down has not
-// been measured.
+// The high-phase regime is where the shared traversal amortizes; the
+// floor catches any change that erases lockstep execution's win. The
+// scalar engine's row-max reception kernel left little margin: on a
+// 2-vCPU machine five quick n=512 runs measured 1.52×, 1.62×, 1.30×,
+// 1.41× and 1.26×, and two full-scale runs 1.76× and 1.22× at n=4096,
+// 1.11× and 1.44× at n=16384 (before that kernel: 3.3–4.2× quick,
+// 4.0–4.7× and 4.9–5.5× full). The Byzantine-arena batch case is
+// reported but not gated: it measures below 1 (0.50–0.67× quick,
+// 0.45–0.58× at n=16384). Batching shares only the
+// flood traversal; each lane still runs its own topology exchange,
+// attestation searches and adversary callbacks, so the sweep scheduler
+// runs Byzantine jobs on the scalar engine.
 const minBatchSpeedup = 1.4
 
 // compare re-measures the core/run benchmarks of the baseline's last

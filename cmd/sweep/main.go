@@ -76,7 +76,7 @@ func run() int {
 		runWorkers = flag.Int("run-workers", 0, "sim workers per job (0 = auto)")
 		cacheCap   = flag.Int("cache", 0, "network cache capacity (0 = default)")
 		netstore   = flag.String("netstore", "", "topology store: a root directory, \"on\" (user cache dir), or \"off\" (default: $REPRO_NETSTORE)")
-		batch      = flag.String("batch", "", "lockstep batched execution: \"on\" (16 lanes), \"off\", or a lane width 1..64 (default: $REPRO_BATCH)")
+		batch      = flag.String("batch", "", "lockstep batched execution of basic-algorithm jobs: \"on\" (16 lanes), \"off\", or a lane width 1..64 (default: $REPRO_BATCH)")
 		storePath  = flag.String("store", "", "JSONL result store (enables resume)")
 		format     = flag.String("format", "md", "aggregate output format: md | csv")
 		outPath    = flag.String("o", "", "write aggregates to this file (default: stdout)")

@@ -57,7 +57,7 @@ func run() int {
 		runWorkers = flag.Int("run-workers", 0, "sim workers per job (0 = auto)")
 		cacheCap   = flag.Int("cache", 0, "network cache capacity (0 = default)")
 		netstore   = flag.String("netstore", "", "topology store: dir, \"on\", or \"off\" (default: $REPRO_NETSTORE)")
-		batch      = flag.String("batch", "", "lockstep batched execution: \"on\", \"off\", or width (default: $REPRO_BATCH)")
+		batch      = flag.String("batch", "", "lockstep batched execution of basic-algorithm jobs: \"on\", \"off\", or width (default: $REPRO_BATCH)")
 		retries    = flag.Int("retries", 0, "transient coordinator-call retries per request (0 = default)")
 		backoff    = flag.Duration("backoff", 0, "first retry delay, doubled per attempt (0 = default)")
 		maxOffline = flag.Duration("max-offline", 0, "drain and exit after the coordinator is unreachable this long (0 = 90s, negative = wait forever)")

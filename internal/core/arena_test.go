@@ -156,7 +156,11 @@ func TestCandBufMatchesReferenceEviction(t *testing.T) {
 // real traffic — and checks that the overflow path actually fired (the
 // regression would be vacuous otherwise), that the run completes with
 // nodes deciding, and that frontier and dense scheduling agree even when
-// eviction reshapes the candidate set.
+// eviction reshapes the candidate set. It runs Algorithm 2: the basic
+// algorithm takes the row maximum and never fills the buffer, while a
+// verifying row with more candidates than the buffer holds fills it
+// before its first verification, since eviction decides which arrival of
+// the best value is tried first.
 func TestHighDegreeCandidateOverflow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dense network generation")
@@ -164,7 +168,7 @@ func TestHighDegreeCandidateOverflow(t *testing.T) {
 	net := hgraph.MustNew(hgraph.Params{N: 360, D: 160, Seed: 9})
 	w := NewWorld()
 	defer w.Close()
-	cfg := Config{Algorithm: AlgorithmBasic, Seed: 10, MaxPhase: 4, Workers: 1, FrontierRounds: FrontierOn}
+	cfg := Config{Algorithm: AlgorithmByzantine, Seed: 10, MaxPhase: 4, Workers: 1, FrontierRounds: FrontierOn}
 	res, err := w.Run(net, nil, nil, cfg)
 	if err != nil {
 		t.Fatal(err)

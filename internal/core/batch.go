@@ -85,9 +85,7 @@ type LaneSpec struct {
 // batchAcc accumulates one worker chunk's per-lane counter deltas on the
 // stack; fold publishes them in O(lanes) atomic calls.
 type batchAcc struct {
-	msgs  [MaxBatchLanes]int64
-	bitsc [MaxBatchLanes]int64
-	maxb  [MaxBatchLanes]int64
+	tally [MaxBatchLanes]msgTally
 	drops [MaxBatchLanes]int64
 	used  uint64
 }
@@ -98,11 +96,11 @@ func (a *batchAcc) fold(bw *BatchWorld) {
 	for m := a.used; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
 		w := bw.lanes[l]
-		w.counters.AddAggregateMax(a.msgs[l], a.bitsc[l], a.maxb[l])
+		a.tally[l].publish(&w.counters)
 		if a.drops[l] != 0 {
 			w.dropped.Add(a.drops[l])
+			a.drops[l] = 0
 		}
-		a.msgs[l], a.bitsc[l], a.maxb[l], a.drops[l] = 0, 0, 0, 0
 	}
 	a.used = 0
 }

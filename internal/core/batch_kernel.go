@@ -101,13 +101,8 @@ func (bw *BatchWorld) stepLanes(v, t, i int, verify bool, mask uint64, merge boo
 			if lossyHon != 0 {
 				s.nd[l] = 0
 			}
-			if h > 0 && deg > 0 {
-				mb := int64(messageBits(h))
-				acc.msgs[l] += int64(deg)
-				acc.bitsc[l] += int64(deg) * mb
-				if mb > acc.maxb[l] {
-					acc.maxb[l] = mb
-				}
+			if h > 0 {
+				acc.tally[l].add(deg, messageBits(h))
 			}
 		}
 		// Touch-ahead: the reception loop's neighbor rows are random
@@ -279,7 +274,7 @@ func (bw *BatchWorld) stepLanes(v, t, i int, verify bool, mask uint64, merge boo
 						break
 					}
 					cands.vals[best] = 0
-					if !w.verifyColor(v, cands.from[best], bc, t) {
+					if !w.verifyColor(v, cands.from[best], bc, t, &acc.tally[l]) {
 						continue
 					}
 					if bc > kt {

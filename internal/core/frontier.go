@@ -297,6 +297,7 @@ func (w *World) advanceLogWatermark(t int, full bool) {
 // before the exchange Swap.
 func (w *World) quietLossPass(t, i int) {
 	n := w.N()
+	var acc msgTally // promoted nodes' message costs
 	for v := 0; v < n; v++ {
 		if w.fr.stepped(v) || w.crashed[v] || w.Byz[v] {
 			// Stepped nodes accounted themselves; crashed nodes receive
@@ -304,8 +305,9 @@ func (w *World) quietLossPass(t, i int) {
 			// loop); lossy Byzantine nodes are always in the frontier.
 			continue
 		}
-		w.quietLossNode(v, t, i)
+		w.quietLossNode(v, t, i, &acc)
 	}
+	acc.publish(&w.counters)
 }
 
 // quietLossNode mirrors the dense reception loop exactly for one skipped
@@ -316,20 +318,12 @@ func (w *World) quietLossPass(t, i int) {
 // full stepNode (whose deterministic re-evaluation of the same coins
 // reproduces the partial scan, so the locally accumulated drop count is
 // simply discarded).
-func (w *World) quietLossNode(v, t, i int) {
+func (w *World) quietLossNode(v, t, i int, acc *msgTally) {
 	cur := w.held.Cur()
-	hAdj := w.topo.hAdj
-	begin, end := w.topo.hOff[v], w.topo.hOff[v+1]
 	held := cur[v]
 	var drops, kt int64
-	for e := begin; e < end; e++ {
-		nb := hAdj[e]
-		var c int64
-		if slot := w.byzIn[e]; slot >= 0 {
-			c = w.byzSends[slot]
-		} else if !w.crashed[nb] {
-			c = cur[nb]
-		}
+	for e := w.topo.hOff[v]; e < w.topo.hOff[v+1]; e++ {
+		c := w.reception(e, cur)
 		if c == 0 {
 			continue
 		}
@@ -343,7 +337,7 @@ func (w *World) quietLossNode(v, t, i int) {
 			// cost stepNode is about to record) and into the stepped set
 			// the next buildFrontier iterates.
 			w.mark(int32(v))
-			w.stepNode(v, t, i, w.stepVerify)
+			w.stepNode(v, t, i, w.stepVerify, acc)
 			return
 		}
 		if c > kt {

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/hgraph"
+	"repro/internal/sim"
 )
 
 // Run executes one full protocol run on the given network. byz marks the
@@ -218,15 +219,19 @@ func (w *World) runSubphase(i, j int) {
 // maxCandidates bounds the per-node improvement-candidate buffer. H-degree
 // is the paper's constant d (8–16), so the bound only binds at synthetic
 // high-degree configurations; when it does, candBuf keeps the largest
-// candidates instead of the first arrivals.
+// candidates instead of the first arrivals. It is also the degree limit of
+// the row-max kernel: a row that cannot overflow the buffer verifies its
+// candidates in arrival order.
 const maxCandidates = 64
 
-// candBuf is the bounded per-round improvement-candidate buffer. It lives
-// on stepNode's stack; once full it tracks the index of its smallest kept
-// value, so the common overflow outcome — the offered candidate loses to
-// everything kept — rejects on a single compare instead of the full-buffer
-// scan the previous eviction path paid on every overflow. Only an actual
-// replacement rescans for the new minimum.
+// candBuf is the bounded improvement-candidate buffer of Algorithm 2's
+// best-first selection. It lives on selectVerified's stack and is built
+// only for a row whose best candidate failed verification (or whose
+// candidates overflow it); once full it tracks the index of its smallest
+// kept value, so the common overflow outcome — the offered candidate loses
+// to everything kept — rejects on a single compare instead of a
+// full-buffer scan. Only an actual replacement rescans for the new
+// minimum.
 type candBuf struct {
 	vals [maxCandidates]int64
 	from [maxCandidates]int32
@@ -264,10 +269,41 @@ func (b *candBuf) insert(c int64, nb int32) (overflowed bool) {
 	return true
 }
 
+// msgTally is a chunk-local message-cost accumulator: each pool chunk of
+// a round keeps one on its stack, every flood and attestation charge of
+// the chunk lands in it, and publish folds it into the run's counters
+// with one AddAggregateMax. Sums and maxima do not depend on order, so
+// Messages, Bits and MaxMessageBits come out exactly as per-charge
+// atomic calls would leave them.
+type msgTally struct {
+	msgs, bits, maxBits int64
+}
+
+// add charges count messages of the given size. Like
+// sim.Counters.CountMessages, a non-positive count records nothing, not
+// even a maximum.
+func (a *msgTally) add(count, bits int) {
+	if count <= 0 {
+		return
+	}
+	a.msgs += int64(count)
+	a.bits += int64(count) * int64(bits)
+	a.maxBits = max(a.maxBits, int64(bits))
+}
+
+// publish folds the tally into c and rewinds it.
+func (a *msgTally) publish(c *sim.Counters) {
+	if a.msgs != 0 {
+		c.AddAggregateMax(a.msgs, a.bits, a.maxBits)
+	}
+	*a = msgTally{}
+}
+
 // stepNode advances node v through round t of an i-round subphase:
 // deliver neighbor sends, verify improvements, update the held color and
-// the k_t bookkeeping.
-func (w *World) stepNode(v, t, i int, verify bool) {
+// the k_t bookkeeping. Message costs are charged to the caller's chunk
+// tally.
+func (w *World) stepNode(v, t, i int, verify bool, acc *msgTally) {
 	cur := w.held.Cur()
 	next := w.held.Next()
 
@@ -305,72 +341,56 @@ func (w *World) stepNode(v, t, i int, verify bool) {
 	// Flooding cost: v sent its held color to all H-neighbors this round
 	// (the degree falls out of the CSR offsets).
 	if heldv > 0 {
-		w.counters.CountMessages(int(end-begin), messageBits(heldv))
+		acc.add(int(end-begin), messageBits(heldv))
 	}
 
-	var kt int64 // max reception this round (after verification)
-	var cands candBuf
-	for e := begin; e < end; e++ {
-		nb := hAdj[e]
-		var c int64
-		if slot := w.byzIn[e]; slot >= 0 {
-			c = w.byzSends[slot]
-		} else if !w.crashed[nb] {
-			c = cur[nb]
+	// kt is the max reception this round (after verification); best is
+	// the largest improvement candidate — a delivered reception above
+	// heldv, 0 if there is none — and from the sender of its first
+	// arrival. fits records that every candidate fits candBuf, so arrival
+	// order is the selection order among equal values.
+	var kt, best int64
+	var from int32
+	fits := true
+	if !lossy && !w.byzRow[v] && end-begin <= maxCandidates {
+		// Row-max kernel: every reception is a neighbor's held color
+		// (crashed senders hold 0, see DESIGN §1), so the scan is one
+		// branch-free running max over the row.
+		row := hAdj[begin:end]
+		for _, nb := range row {
+			best = max(best, cur[nb])
 		}
-		if c == 0 {
-			continue
-		}
-		// Omission faults: the reception on this directed edge is lost in
-		// transit this round (the sender still paid to transmit).
-		if lossy && w.dropRecv(e) {
-			w.dropped.Add(1)
-			continue
-		}
-		if c <= heldv {
-			// Sub-maximum receptions (echoes) need no verification: they
-			// can never strictly exceed the final-round echo floor.
-			if c > kt {
-				kt = c
+		if best <= heldv {
+			// Only echoes: the max reception is k_t, and nothing to verify.
+			kt, best = best, 0
+		} else if verify {
+			for _, nb := range row {
+				if cur[nb] == best {
+					from = nb
+					break
+				}
 			}
-			continue
 		}
-		if cands.insert(c, nb) {
-			w.candOverflows.Add(1)
-		}
+	} else {
+		var cands int
+		kt, best, from, cands = w.scanRow(v, heldv, lossy)
+		fits = cands <= maxCandidates
 	}
 	// Improvement candidates force a re-step next round even when the
 	// held value stays put: failed candidates are re-verified (with
 	// round-dependent outcomes and attestation costs) every round.
-	w.hasCand[v] = cands.n > 0
+	w.hasCand[v] = best > 0
 
 	newHeld := heldv
-	if cands.n > 0 {
-		// Verify improvement candidates best-first; the first that passes
-		// is the verified fresh maximum. Failed candidates are discarded
-		// (Algorithm 2: inconsistent high values are dropped). Selection
-		// is an in-place bounded scan — descending value, ties in arrival
-		// order — instead of the seed's per-node sort.Slice allocation.
-		for {
-			best := -1
-			var bc int64
-			for q := 0; q < cands.n; q++ {
-				if cands.vals[q] > bc {
-					bc, best = cands.vals[q], q
-				}
-			}
-			if best < 0 {
-				break
-			}
-			cands.vals[best] = 0 // consumed (candidates are all > heldv >= 0)
-			if verify && !w.verifyColor(v, cands.from[best], bc, t) {
-				continue
-			}
-			if bc > kt {
-				kt = bc
-			}
-			newHeld = bc
-			break
+	if best > 0 {
+		// Without verification the best candidate is the new maximum.
+		// With it, the first arrival of the best is exactly what the
+		// best-first selection would try first; only when it fails (or
+		// eviction decides the order) is the candidate buffer built.
+		if !verify || fits && w.verifyColor(v, from, best, t, acc) {
+			newHeld, kt = best, best
+		} else {
+			newHeld, kt = w.selectVerified(v, t, heldv, best, fits, acc)
 		}
 	}
 
@@ -382,6 +402,110 @@ func (w *World) stepNode(v, t, i int, verify bool) {
 		}
 	} else {
 		w.kFinal[v] = kt
+	}
+}
+
+// reception is the value v receives on its CSR entry e this round, before
+// message loss: the latched send of a Byzantine sender, the held color of
+// a live honest one, or nothing (0) from a crashed one.
+func (w *World) reception(e int32, cur []int64) int64 {
+	if slot := w.byzIn[e]; slot >= 0 {
+		return w.byzSends[slot]
+	}
+	if nb := w.topo.hAdj[e]; !w.crashed[nb] {
+		return cur[nb]
+	}
+	return 0
+}
+
+// scanRow is the reception scan for the rows the row-max kernel excludes
+// (lossy links, a Byzantine sender, degree above maxCandidates). It counts
+// the receptions lost in transit (the sender still paid to transmit) and
+// returns the max echo (a delivered reception at most heldv: echoes need
+// no verification), the best candidate with the sender of its first
+// arrival, and how many candidates were delivered.
+func (w *World) scanRow(v int, heldv int64, lossy bool) (kt, best int64, from int32, cands int) {
+	cur := w.held.Cur()
+	var drops int64
+	for e := w.topo.hOff[v]; e < w.topo.hOff[v+1]; e++ {
+		c := w.reception(e, cur)
+		if c == 0 {
+			continue
+		}
+		if lossy && w.dropRecv(e) {
+			drops++
+			continue
+		}
+		if c <= heldv {
+			kt = max(kt, c)
+			continue
+		}
+		cands++
+		if c > best {
+			best, from = c, w.topo.hAdj[e]
+		}
+	}
+	if drops > 0 {
+		w.dropped.Add(drops)
+	}
+	return kt, best, from, cands
+}
+
+// selectVerified runs Algorithm 2's best-first selection for node v's
+// row: it fills candBuf with the delivered receptions above heldv, in
+// arrival order (loss coins are stateless, so the rescan delivers what
+// the first scan did, and its drops are not counted again), then verifies
+// the kept candidates in descending order, ties in buffer order, until
+// one passes; failed candidates are discarded (Algorithm 2: inconsistent
+// high values are dropped). When consumed is set the caller already
+// verified best's first arrival, which fails, so that slot is dropped
+// without a second verification and the verifyColor call sequence is
+// exactly that of building the buffer up front. It returns the new held
+// value and k_t.
+func (w *World) selectVerified(v, t int, heldv, best int64, consumed bool, acc *msgTally) (newHeld, kt int64) {
+	cur := w.held.Cur()
+	lossy := w.plan.lossThresh != 0
+	var cands candBuf
+	for e := w.topo.hOff[v]; e < w.topo.hOff[v+1]; e++ {
+		c := w.reception(e, cur)
+		if c == 0 || lossy && w.dropRecv(e) {
+			continue
+		}
+		if c <= heldv {
+			kt = max(kt, c)
+			continue
+		}
+		if cands.insert(c, w.topo.hAdj[e]) {
+			w.candOverflows.Add(1)
+		}
+	}
+	if consumed {
+		for q := 0; q < cands.n; q++ {
+			if cands.vals[q] == best {
+				cands.vals[q] = 0
+				break
+			}
+		}
+	}
+	newHeld = heldv
+	for {
+		// In-place bounded selection: descending value, ties in buffer
+		// order. Candidates are all > heldv >= 0, so 0 marks a consumed
+		// slot.
+		q := -1
+		var bc int64
+		for k := 0; k < cands.n; k++ {
+			if cands.vals[k] > bc {
+				bc, q = cands.vals[k], k
+			}
+		}
+		if q < 0 {
+			return newHeld, kt
+		}
+		cands.vals[q] = 0
+		if w.verifyColor(v, cands.from[q], bc, t, acc) {
+			return bc, max(kt, bc)
+		}
 	}
 }
 

@@ -20,8 +20,9 @@ package core
 // would let two Byzantine nodes simulate an arbitrarily long chain.
 
 // verifyColor is the entry point used by the engine. v is the verifier,
-// from the sending H-neighbor, c the received color, t the current round.
-func (w *World) verifyColor(v int, from int32, c int64, t int) bool {
+// from the sending H-neighbor, c the received color, t the current round;
+// the search's messages are charged to acc, the caller's chunk tally.
+func (w *World) verifyColor(v int, from int32, c int64, t int, acc *msgTally) bool {
 	m := t
 	if m > w.Net.K {
 		m = w.Net.K
@@ -32,7 +33,7 @@ func (w *World) verifyColor(v int, from int32, c int64, t int) bool {
 	// Each query/response pair travels over an L edge: constant IDs plus
 	// O(log) payload. Every query of one verification has the same size,
 	// so the whole search is charged at once.
-	w.counters.CountMessages(2*asked, messageBits(c)+64)
+	acc.add(2*asked, messageBits(c)+64)
 	return ok
 }
 

@@ -83,7 +83,7 @@ func TestVerifyAcceptsGenuineChain(t *testing.T) {
 	f.holdFrom(int(path[3]), c, 0) // generator
 	f.holdFrom(int(path[2]), c, 1)
 	f.holdFrom(int(path[1]), c, 2)
-	if !f.w.verifyColor(0, path[1], c, 3) {
+	if !f.w.verifyColor(0, path[1], c, 3, &msgTally{}) {
 		t.Fatal("genuine chain rejected")
 	}
 }
@@ -92,7 +92,7 @@ func TestVerifyAcceptsGenuineChain(t *testing.T) {
 func TestVerifyRejectsUnsupportedColor(t *testing.T) {
 	f := newVerifyFixture(t, nil, nil)
 	path := pathFrom(f.net, 0, 1)
-	if f.w.verifyColor(0, path[1], 40, 3) {
+	if f.w.verifyColor(0, path[1], 40, 3, &msgTally{}) {
 		t.Fatal("unsupported color accepted")
 	}
 }
@@ -111,7 +111,7 @@ func TestVerifyRejectsLateChain(t *testing.T) {
 	f.holdFrom(int(path[3]), c, 1)
 	f.holdFrom(int(path[2]), c, 1)
 	f.holdFrom(int(path[1]), c, 2)
-	if f.w.verifyColor(0, path[1], c, 3) {
+	if f.w.verifyColor(0, path[1], c, 3, &msgTally{}) {
 		t.Fatal("late chain accepted: a color nobody generated at round 0 passed")
 	}
 }
@@ -122,11 +122,11 @@ func TestVerifyRoundOneGeneration(t *testing.T) {
 	path := pathFrom(f.net, 0, 1)
 	w := path[1]
 	const c = int64(17)
-	if f.w.verifyColor(0, w, c, 1) {
+	if f.w.verifyColor(0, w, c, 1, &msgTally{}) {
 		t.Fatal("round-1 color accepted without generation")
 	}
 	f.holdFrom(int(w), c, 0)
-	if !f.w.verifyColor(0, w, c, 1) {
+	if !f.w.verifyColor(0, w, c, 1, &msgTally{}) {
 		t.Fatal("round-1 generated color rejected")
 	}
 }
@@ -142,7 +142,7 @@ func TestVerifyAcceptsDominatingChain(t *testing.T) {
 	f.holdFrom(int(path[3]), 100, 0)
 	f.holdFrom(int(path[2]), 100, 1)
 	f.holdFrom(int(path[1]), 100, 2)
-	if !f.w.verifyColor(0, path[1], 40, 3) {
+	if !f.w.verifyColor(0, path[1], 40, 3, &msgTally{}) {
 		t.Fatal("dominated color rejected despite bigger legit color upstream")
 	}
 }
@@ -172,11 +172,11 @@ func TestVerifyRejectsIsolatedByzantineMidSubphase(t *testing.T) {
 	victim := int(net.H.UniqueNeighbors(b)[0])
 	// t = k = 3: needs a chain of 2 beyond b; all of b's neighbors are
 	// honest with empty logs.
-	if w.verifyColor(victim, int32(b), 1<<30, 3) {
+	if w.verifyColor(victim, int32(b), 1<<30, 3, &msgTally{}) {
 		t.Fatal("isolated Byzantine injected at round k")
 	}
 	// But t = 1 must pass (generation claim, Lemma 16 allows it).
-	if !w.verifyColor(victim, int32(b), 1<<30, 1) {
+	if !w.verifyColor(victim, int32(b), 1<<30, 1, &msgTally{}) {
 		t.Fatal("round-1 Byzantine generation claim rejected")
 	}
 }
@@ -226,7 +226,7 @@ func TestVerifySimplePathPreventsBouncing(t *testing.T) {
 	if thirdByz {
 		t.Skip("accidental byzantine triangle")
 	}
-	if w.verifyColor(victim, int32(b1), 1<<30, 3) {
+	if w.verifyColor(victim, int32(b1), 1<<30, 3, &msgTally{}) {
 		t.Fatal("two Byzantine nodes simulated a 3-chain via path revisits")
 	}
 }

@@ -58,6 +58,9 @@ type World struct {
 	// as the map deduplicated them.
 	byzIn    []int32
 	byzSends []int64 // latched adversary sends for the current round
+	// byzRow[v] marks nodes with a Byzantine sender in their H row; the
+	// row-max kernel (stepNode) takes only rows without one.
+	byzRow []bool
 
 	counters       sim.Counters
 	pool           *sim.Pool
@@ -70,7 +73,8 @@ type World struct {
 	// here and hands the pool one persistent closure instead of capturing
 	// a fresh one (which would escape to the heap) every round. stepFn
 	// walks node ids directly (full sweeps); stepListFn walks the frontier
-	// worklist (see frontier.go).
+	// worklist (see frontier.go). Each chunk tallies its message costs on
+	// its own stack and publishes them once (msgTally).
 	stepFn     func(start, end int)
 	stepListFn func(start, end int)
 	stepRound  int
@@ -112,10 +116,11 @@ type World struct {
 	exchClaimEpoch []int32
 	exchClaimIdx   []int32
 
-	// candOverflows counts rounds in which a node saw more than
-	// maxCandidates improvement candidates (possible only at H-degree
-	// > maxCandidates); the bounded selection then keeps the best rather
-	// than the first arrivals. Diagnostic only — not part of Result.
+	// candOverflows counts candidates offered to a full candidate buffer
+	// (possible only at H-degree > maxCandidates, and only in a verifying
+	// row that builds the buffer); the bounded selection then keeps the
+	// best rather than the first arrivals. Diagnostic only — not part of
+	// Result.
 	candOverflows atomic.Int64
 
 	// Lemma 16 instrumentation (Config.InjectionThreshold > 0):
@@ -282,14 +287,18 @@ func (w *World) ResetTopology(topo *Topology, byz []bool, adv Adversary, cfg Con
 
 	if w.stepFn == nil {
 		w.stepFn = func(start, end int) {
+			var acc msgTally
 			for v := start; v < end; v++ {
-				w.stepNode(v, w.stepRound, w.stepPhase, w.stepVerify)
+				w.stepNode(v, w.stepRound, w.stepPhase, w.stepVerify, &acc)
 			}
+			acc.publish(&w.counters)
 		}
 		w.stepListFn = func(start, end int) {
+			var acc msgTally
 			for idx := start; idx < end; idx++ {
-				w.stepNode(int(w.fr.list[idx]), w.stepRound, w.stepPhase, w.stepVerify)
+				w.stepNode(int(w.fr.list[idx]), w.stepRound, w.stepPhase, w.stepVerify, &acc)
 			}
+			acc.publish(&w.counters)
 		}
 	}
 	if topoChanged || w.exchBFS == nil {
@@ -312,10 +321,11 @@ func (w *World) clearByzIn() {
 	}
 }
 
-// rebuildByzTables assigns send slots for the current Byzantine set. Slot
-// numbering matches the seed engine's map-insertion order (Byzantine nodes
-// ascending, CSR adjacency order, parallel edges deduplicated), so latched
-// values land in the same slots the hash map would have used.
+// rebuildByzTables assigns send slots for the current Byzantine set and
+// marks the rows those sends reach (byzRow). Slot numbering matches the
+// seed engine's map-insertion order (Byzantine nodes ascending, CSR
+// adjacency order, parallel edges deduplicated), so latched values land
+// in the same slots the hash map would have used.
 func (w *World) rebuildByzTables(topoChanged bool) {
 	topo := w.topo
 	if topoChanged || len(w.byzIn) != len(topo.hAdj) {
@@ -327,6 +337,7 @@ func (w *World) rebuildByzTables(topoChanged bool) {
 	w.byzList = w.byzList[:0]
 	slots := int32(0)
 	n := topo.Net.H.N()
+	w.byzRow = resetSlice(w.byzRow, n)
 	for v := 0; v < n; v++ {
 		if !w.Byz[v] {
 			continue
@@ -342,6 +353,7 @@ func (w *World) rebuildByzTables(topoChanged bool) {
 				prev = nb
 			}
 			w.byzIn[topo.rev[e]] = s
+			w.byzRow[nb] = true
 		}
 	}
 	w.byzSends = resetSlice(w.byzSends, int(slots))

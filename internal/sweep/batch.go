@@ -1,8 +1,8 @@
 package sweep
 
 // batch.go routes compatible pending jobs through the batched round
-// engine (core.RunBatch): jobs that share a topology and a protocol
-// schedule — same canonical Net params, Algorithm, Epsilon, MaxPhase —
+// engine (core.RunBatch): basic-algorithm jobs that share a topology and
+// a protocol schedule — same canonical Net params, Epsilon, MaxPhase —
 // run in lockstep as lanes of one batched invocation on the worker's
 // BatchWorld arena, one CSR edge traversal servicing every lane. The
 // grouping is pure scheduling: each job still produces its own Outcome,
@@ -66,12 +66,12 @@ var envBatch = sync.OnceValue(func() int {
 func EnvBatch() int { return envBatch() }
 
 // batchKey is the compatibility class for lockstep execution: the axes
-// every lane of a batched invocation must share. Everything else —
-// adversary, placement, Byzantine count, churn, loss, seeds, injection
-// instrumentation — varies freely across lanes.
+// every lane of a batched invocation must share (the algorithm is always
+// basic, see batchPlan). Everything else — adversary, placement,
+// Byzantine count, churn, loss, seeds, injection instrumentation —
+// varies freely across lanes.
 type batchKey struct {
 	net      hgraph.Params
-	alg      core.Algorithm
 	epsilon  float64
 	maxPhase int
 }
@@ -79,8 +79,12 @@ type batchKey struct {
 // batchPlan partitions the pending job indices into work items: slices
 // of jobs executed as one batched invocation, in group-discovery order,
 // chunked to the configured lane width (the final chunk of a group is
-// ragged). Width 1, a per-job Observer, or per-job occupancy recording
-// fall back to singleton items — the scalar path.
+// ragged). Only basic-algorithm jobs form lanes: each Byzantine lane
+// still runs its own exchange and chain attestation, and such lanes
+// measured 0.45–0.67× the scalar engine's speed (see cmd/bench's
+// minBatchSpeedup). Width 1, a per-job Observer, per-job occupancy
+// recording, or the Byzantine algorithm fall back to singleton items —
+// the scalar path.
 func batchPlan(jobs []Job, pending []int, opts Options) [][]int {
 	if opts.Batch <= 1 || opts.Observer != nil {
 		items := make([][]int, len(pending))
@@ -96,13 +100,14 @@ func batchPlan(jobs []Job, pending []int, opts Options) [][]int {
 	)
 	for _, i := range pending {
 		j := jobs[i]
-		if j.RecordOccupancy {
+		if j.RecordOccupancy || j.Algorithm != core.AlgorithmBasic {
 			// The batch engine rejects RecordFrontierOccupancy; these jobs
-			// keep the scalar engine's instrumentation.
+			// keep the scalar engine's instrumentation. Byzantine jobs run
+			// faster on the scalar engine.
 			items = append(items, []int{i})
 			continue
 		}
-		k := batchKey{net: j.Net.Canonical(), alg: j.Algorithm, epsilon: j.Epsilon, maxPhase: j.MaxPhase}
+		k := batchKey{net: j.Net.Canonical(), epsilon: j.Epsilon, maxPhase: j.MaxPhase}
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -41,19 +42,31 @@ func TestResolveBatch(t *testing.T) {
 }
 
 // batchTestSpec is a small grid whose cells share topologies across
-// adversary/delta axes (the batching surface) with trials for ragged
-// chunks: 2 sizes × 2 deltas × 3 adversaries × 3 trials = 36 jobs in
-// groups of 6 lanes per (size, trial) — ragged under width 4.
+// adversary/delta/loss axes (the batching surface) with trials for ragged
+// chunks, under both algorithms: the basic jobs form lanes, the
+// Byzantine ones stay scalar.
 func batchTestSpec() Spec {
 	return Spec{
 		Name:        "batch",
 		Sizes:       []int{64, 96},
 		Deltas:      []float64{0, 0.75},
 		Adversaries: []string{"none", "inflate", "suppress"},
+		Algorithms:  []string{"basic", "byzantine"},
 		LossProbs:   []float64{0, 0.05},
 		Trials:      3,
 		Seed:        41,
 	}
+}
+
+// basicJobs counts the jobs eligible for lanes.
+func basicJobs(jobs []Job) int {
+	k := 0
+	for _, j := range jobs {
+		if j.Algorithm == core.AlgorithmBasic {
+			k++
+		}
+	}
+	return k
 }
 
 // TestSweepBatchedMatchesScalar is the scheduler-level equivalence guard:
@@ -82,6 +95,10 @@ func TestSweepBatchedMatchesScalar(t *testing.T) {
 			}
 			if batched[i].BatchLanes > width {
 				t.Fatalf("width %d job %d: ran with %d lanes", width, i, batched[i].BatchLanes)
+			}
+			if jobs[i].Algorithm == core.AlgorithmByzantine && batched[i].BatchLanes != 1 {
+				t.Fatalf("width %d job %d (%s): Byzantine job ran with %d lanes, want the scalar engine",
+					width, i, jobs[i].Label(), batched[i].BatchLanes)
 			}
 			if batched[i].BatchLanes > 1 {
 				sawBatched = true
@@ -136,9 +153,10 @@ func TestSweepBatchedStoreInterchangeable(t *testing.T) {
 	}
 }
 
-// TestBatchPlanGroups pins the grouping rules: only jobs sharing
-// (canonical Net, Algorithm, Epsilon, MaxPhase) share an invocation,
-// occupancy-recording jobs stay scalar, and chunks respect the width.
+// TestBatchPlanGroups pins the grouping rules: only basic-algorithm jobs
+// sharing (canonical Net, Epsilon, MaxPhase) share an invocation,
+// occupancy-recording and Byzantine jobs stay scalar, and chunks respect
+// the width.
 func TestBatchPlanGroups(t *testing.T) {
 	jobs, err := batchTestSpec().Jobs()
 	if err != nil {
@@ -164,6 +182,9 @@ func TestBatchPlanGroups(t *testing.T) {
 			j := jobs[i]
 			if len(item) > 1 && j.RecordOccupancy {
 				t.Fatalf("occupancy-recording job %d batched", i)
+			}
+			if len(item) > 1 && j.Algorithm != core.AlgorithmBasic {
+				t.Fatalf("Byzantine job %d batched", i)
 			}
 			if j.Net.Canonical() != j0.Net.Canonical() || j.Algorithm != j0.Algorithm ||
 				j.Epsilon != j0.Epsilon || j.MaxPhase != j0.MaxPhase {
@@ -204,12 +225,13 @@ func TestSweepBatchTelemetry(t *testing.T) {
 	if invs == 0 || lanes <= invs {
 		t.Fatalf("batch telemetry: lanes=%d invocations=%d, want multi-lane invocations", lanes, invs)
 	}
-	if lanes != int64(len(jobs)) {
-		t.Fatalf("lanes=%d, want every job (%d) batched in this grid", lanes, len(jobs))
+	basic := basicJobs(jobs)
+	if lanes != int64(basic) {
+		t.Fatalf("lanes=%d, want every basic job (%d) batched in this grid", lanes, basic)
 	}
 	st := mon.Status()
-	if st.BatchedJobs != len(jobs) {
-		t.Fatalf("status batched_jobs=%d, want %d", st.BatchedJobs, len(jobs))
+	if st.BatchedJobs != basic {
+		t.Fatalf("status batched_jobs=%d, want %d", st.BatchedJobs, basic)
 	}
 	want := float64(lanes) / float64(invs)
 	if st.BatchMeanLanes < want-0.01 || st.BatchMeanLanes > want+0.01 {

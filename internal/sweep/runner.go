@@ -54,13 +54,14 @@ type Options struct {
 	// Logging is best effort — a failing run-log never fails a job.
 	RunLog *obs.RunLog
 	// Batch caps the lane width of lockstep batched execution: pending
-	// jobs sharing a topology and protocol schedule run as lanes of one
-	// core.RunBatch invocation (per-job Outcomes, Records, keys, and
-	// digests are unchanged — grouping is pure scheduling). 0 consults
-	// the REPRO_BATCH environment variable (off when unset); 1 disables
-	// batching; larger widths are clamped to core.MaxBatchLanes. A
-	// per-job Observer disables batching, and occupancy-recording jobs
-	// fall back to the scalar engine individually.
+	// basic-algorithm jobs sharing a topology and protocol schedule run
+	// as lanes of one core.RunBatch invocation (per-job Outcomes,
+	// Records, keys, and digests are unchanged — grouping is pure
+	// scheduling). 0 consults the REPRO_BATCH environment variable (off
+	// when unset); 1 disables batching; larger widths are clamped to
+	// core.MaxBatchLanes. A per-job Observer disables batching, and
+	// occupancy-recording and Byzantine-algorithm jobs run on the scalar
+	// engine individually.
 	Batch int
 	// Drop, when non-nil, is consulted immediately before a pending job
 	// would execute; returning true abandons the job without running
