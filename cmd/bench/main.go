@@ -172,20 +172,29 @@ func cases(quick bool) []benchCase {
 				}
 			}})
 		}
-		cs = append(cs, benchCase{name: fmt.Sprintf("core/run-arena/n=%d", n), fn: func(b *testing.B) {
-			w := core.NewWorld()
-			defer w.Close()
-			if _, err := w.RunTopology(topos[n], byzs[n], nil, cfg); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.RunTopology(topos[n], byzs[n], nil, cfg); err != nil {
+		// The nil adversary never lies; the liar case is the same arena
+		// run under topology-liar, so it reaches the claimed-topology
+		// check.
+		for _, ac := range []struct {
+			name string
+			adv  core.Adversary
+		}{{"arena", nil}, {"liar", adversary.TopologyLiar{}}} {
+			ac := ac
+			cs = append(cs, benchCase{name: fmt.Sprintf("core/run-%s/n=%d", ac.name, n), fn: func(b *testing.B) {
+				w := core.NewWorld()
+				defer w.Close()
+				if _, err := w.RunTopology(topos[n], byzs[n], ac.adv, cfg); err != nil {
 					b.Fatal(err)
 				}
-			}
-		}})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := w.RunTopology(topos[n], byzs[n], ac.adv, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}})
+		}
 	}
 
 	// Batched lockstep execution over the largest arena: batchLanes

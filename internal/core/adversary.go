@@ -32,6 +32,11 @@ type Adversary interface {
 	// or nil to report truthfully. Claims of length != d, claims naming
 	// nodes outside v's channel set, and claims contradicting an honest
 	// endpoint all crash v (line 2) — which is usually the point.
+	//
+	// It is called once for every honest v and Byzantine b within
+	// H-distance k of each other: victims in ascending order and, for each
+	// victim, its Byzantine channels in the order a BFS from the victim
+	// reaches them.
 	ClaimHNeighbors(w *World, b, v int) []int32
 
 	// SubphaseStart is called at the beginning of every subphase, after

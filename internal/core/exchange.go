@@ -44,27 +44,76 @@ func (w *World) runExchange() {
 	}
 
 	// Only nodes with a Byzantine node inside their radius-k H-ball can
-	// receive a lie; everyone else reconstructs the truth trivially.
-	// Scratch comes from the arena: the BFS workspace survives across
-	// runs on the same network, and the candidate vector is zeroed by
-	// Reset.
-	scratch := w.exchBFS
-	candidate := w.exchCand
+	// receive a lie; everyone else reconstructs the truth trivially. The
+	// victims and their Byzantine channels are found from the Byzantine
+	// side: one record per (victim, channel) pair, grouped by victim with
+	// a counting sort. G joins exactly the pairs within H-distance k, so
+	// b's G-row counts b's victims without a search. After the prefix sum
+	// end[v] is where v's records start; the fill advances it past them.
+	k := w.Net.K
+	gOff, gAdj := w.Net.G.CSR()
+	end := resetSlice(w.exchEnd, n+1)
+	w.exchEnd = end
 	for _, b := range w.byzList {
-		nodes, _ := graph.BallWith(scratch, int(b), w.Net.K)
-		for _, v := range nodes {
+		for _, v := range gAdj[gOff[b]:gOff[b+1]] {
 			if !w.Byz[v] {
-				candidate[v] = true
+				end[v+1]++
 			}
 		}
 	}
-
-	for v := 0; v < n; v++ {
-		if !candidate[v] {
-			continue
-		}
-		w.exchangeAtVictim(v, scratch)
+	for v := 1; v <= n; v++ {
+		end[v] += end[v-1]
 	}
+	total := int(end[n])
+	recs := resetSlice(w.exchRecs, total)
+	keys := resetSlice(w.exchKeys, total*k)
+	w.exchRecs, w.exchKeys = recs, keys
+
+	// The fill runs one k-ball BFS per Byzantine node b and records, for
+	// every honest v in the ball, v's distance to b and v's key for b:
+	// the least sequence of H-row indices over shortest v→b paths. A
+	// greedy descent along b's distance field finds it, taking the first
+	// entry of each row that steps one closer to b.
+	hOff, hAdj := w.topo.hOff, w.topo.hAdj
+	for _, b := range w.byzList {
+		ball, dist := graph.BallWith(w.exchBFS, int(b), k)
+		for _, v := range ball {
+			if w.Byz[v] {
+				continue
+			}
+			at := int(end[v])
+			end[v]++
+			dv := dist[v]
+			key := keys[at*k : at*k+int(dv)]
+			x := v
+			for i := range key {
+				want := dv - int32(i) - 1
+				for j, y := range hAdj[hOff[x]:hOff[x+1]] {
+					if dist[y] == want {
+						key[i], x = int32(j), y
+						break
+					}
+				}
+			}
+			recs[at] = exchRec{node: b, dist: dv, key: at * k}
+		}
+	}
+
+	lo := int32(0)
+	for v := 0; v < n; v++ {
+		if hi := end[v]; hi > lo {
+			w.exchangeAtVictim(v, recs[lo:hi], keys)
+			lo = hi
+		}
+	}
+}
+
+// exchRec is one Byzantine channel of a victim: the Byzantine node, its
+// H-distance from the victim, and where the victim's key for it starts in
+// the key slab (dist entries).
+type exchRec struct {
+	node, dist int32
+	key        int
 }
 
 // claim is one adjacency list a Byzantine node reported to the current
@@ -74,23 +123,30 @@ type claim struct {
 	adj  []int32
 }
 
-// exchangeAtVictim collects the claims made to v, builds v's believed ball,
-// and applies the crash rule.
-func (w *World) exchangeAtVictim(v int, scratch *graph.BFS) {
-	// v's channel set is its ground-truth k-ball (the adversary cannot
-	// fabricate wires): y is a channel iff chanDist[y] != graph.Unreached.
-	// scratch is not reused below, so chanDist stays valid.
-	ballNodes, chanDist := graph.BallWith(scratch, v, w.Net.K)
-
-	// Collect the claims, asking v's Byzantine channels in BFS order:
-	// stateful adversaries draw their claims from a stream.
+// exchangeAtVictim asks v's Byzantine channels for their claims, builds v's
+// believed ball, and applies the crash rule.
+func (w *World) exchangeAtVictim(v int, recs []exchRec, keys []int32) {
+	// Sorting by (distance, key) asks the channels in the order a BFS
+	// from v meets them (DESIGN.md §1): stateful adversaries draw their
+	// claims from a stream.
+	if len(recs) > 1 {
+		slices.SortFunc(recs, func(a, b exchRec) int {
+			if a.dist != b.dist {
+				return int(a.dist - b.dist)
+			}
+			kb := keys[b.key : b.key+int(b.dist)]
+			for i, x := range keys[a.key : a.key+int(a.dist)] {
+				if x != kb[i] {
+					return int(x - kb[i])
+				}
+			}
+			return 0
+		})
+	}
 	claims := w.exchClaims[:0]
-	for _, x := range ballNodes {
-		if !w.Byz[x] {
-			continue
-		}
-		if adj := w.adv.ClaimHNeighbors(w, int(x), v); adj != nil {
-			claims = append(claims, claim{node: x, adj: adj})
+	for _, r := range recs {
+		if adj := w.adv.ClaimHNeighbors(w, int(r.node), v); adj != nil {
+			claims = append(claims, claim{node: r.node, adj: adj})
 		}
 	}
 	w.exchClaims = claims
@@ -98,7 +154,7 @@ func (w *World) exchangeAtVictim(v int, scratch *graph.BFS) {
 		return // everyone reported truthfully; reconstruction is exact
 	}
 
-	if !w.claimedBallConsistent(v, chanDist, claims) {
+	if !w.claimedBallConsistent(v, claims) {
 		w.crashed[v] = true
 		return
 	}
@@ -111,24 +167,33 @@ func (w *World) exchangeAtVictim(v int, scratch *graph.BFS) {
 
 // claimedBallConsistent runs v's BFS over the claimed topology to radius
 // k and reports whether every adjacency list it expands passes the crash
-// rule. Claimers are stamped in exchClaimEpoch (their claim index in
-// exchClaimIdx) and reached nodes in exchSeen, both with the current
-// exchEpoch, so no per-victim state needs clearing.
-func (w *World) claimedBallConsistent(v int, chanDist []int32, claims []claim) bool {
+// rule. v's channel set (G's row of v, plus v) is stamped in exchChan,
+// claimers in exchClaimEpoch (their claim index in exchClaimIdx) and
+// reached nodes in exchSeen, all with the current exchEpoch, so no
+// per-victim state needs clearing.
+func (w *World) claimedBallConsistent(v int, claims []claim) bool {
 	n := w.N()
 	if len(w.exchSeen) != n {
 		w.exchSeen = make([]int32, n)
+		w.exchChan = make([]int32, n)
 		w.exchClaimEpoch = make([]int32, n)
 		w.exchClaimIdx = make([]int32, n)
 		w.exchEpoch = 0
 	}
 	if w.exchEpoch == math.MaxInt32 {
 		clear(w.exchSeen)
+		clear(w.exchChan)
 		clear(w.exchClaimEpoch)
 		w.exchEpoch = 0
 	}
 	w.exchEpoch++
 	ep := w.exchEpoch
+	gOff, gAdj := w.Net.G.CSR()
+	channel := w.exchChan
+	channel[v] = ep
+	for _, y := range gAdj[gOff[v]:gOff[v+1]] {
+		channel[y] = ep
+	}
 	for i, c := range claims {
 		w.exchClaimEpoch[c.node] = ep
 		w.exchClaimIdx[c.node] = int32(i)
@@ -165,12 +230,15 @@ bfs:
 			ok = false
 			break
 		}
+		xClaimed := w.exchClaimEpoch[x] == ep
 		for _, y := range adj {
-			if y < 0 || int(y) >= n || chanDist[y] == graph.Unreached {
+			if y < 0 || int(y) >= n || channel[y] != ep {
 				ok = false // phantom: claimed within distance k, no channel
 				break bfs
 			}
-			if !slices.Contains(adjOf(y), x) {
+			// Between two truthful reporters H's symmetry already
+			// confirms the edge; only a claimer's edges need asking.
+			if (xClaimed || w.exchClaimEpoch[y] == ep) && !slices.Contains(adjOf(y), x) {
 				ok = false // the endpoint denies the edge
 				break bfs
 			}

@@ -101,18 +101,24 @@ type World struct {
 	occPerPhase []float64
 
 	// Reusable exchange scratch (Algorithm 2 preprocessing; see
-	// exchange.go). exchBFS holds a victim's ground-truth k-ball, which is
-	// also its channel set. The claimed-topology BFS stamps the nodes it
-	// reaches (exchSeen) and the current victim's claimers
-	// (exchClaimEpoch, with their index into exchClaims in exchClaimIdx)
-	// with exchEpoch, one epoch per victim, so nothing is cleared between
-	// victims or runs.
+	// exchange.go). exchBFS holds one Byzantine node's k-ball. exchRecs
+	// holds one record per (victim, Byzantine channel) pair, grouped by
+	// victim, and exchEnd[v] is where v's records end; exchKeys holds
+	// their keys, k entries per record. All three are sized by a counting
+	// pass and reused across runs. The claimed-topology BFS stamps the
+	// victim's channel set (exchChan), the nodes it reaches (exchSeen) and
+	// the victim's claimers (exchClaimEpoch, with their index into
+	// exchClaims in exchClaimIdx) with exchEpoch, one epoch per victim
+	// that heard a claim, so nothing is cleared between victims or runs.
 	exchBFS        *graph.BFS
-	exchCand       []bool
+	exchEnd        []int32
+	exchRecs       []exchRec
+	exchKeys       []int32
 	exchClaims     []claim
 	exchQueue      []int32
 	exchEpoch      int32
 	exchSeen       []int32
+	exchChan       []int32
 	exchClaimEpoch []int32
 	exchClaimIdx   []int32
 
@@ -237,7 +243,6 @@ func (w *World) ResetTopology(topo *Topology, byz []bool, adv Adversary, cfg Con
 	w.maxEarly = resetSlice(w.maxEarly, n)
 	w.kFinal = resetSlice(w.kFinal, n)
 	w.views = resetSlice(w.views, n)
-	w.exchCand = resetSlice(w.exchCand, n)
 	if cap(w.colorSrc) < n {
 		w.colorSrc = make([]rng.Source, n)
 	} else {

@@ -215,11 +215,11 @@ func (g *Graph) UniqueNeighbors(v int) []int32 {
 // BFS holds reusable scratch space for breadth-first searches on a fixed
 // graph. It is not safe for concurrent use; allocate one per goroutine.
 type BFS struct {
-	g     *Graph
-	dist  []int32
+	g    *Graph
+	dist []int32
+	// queue holds every node the last search reached, in BFS order;
+	// reset clears exactly those, so it is O(visited).
 	queue []int32
-	// touched tracks which entries of dist were written so Reset is O(visited).
-	touched []int32
 }
 
 // Unreached is the distance value for nodes not reached by the last search.
@@ -235,10 +235,9 @@ func NewBFS(g *Graph) *BFS {
 }
 
 func (b *BFS) reset() {
-	for _, v := range b.touched {
+	for _, v := range b.queue {
 		b.dist[v] = Unreached
 	}
-	b.touched = b.touched[:0]
 	b.queue = b.queue[:0]
 }
 
@@ -255,7 +254,6 @@ func (b *BFS) RunWithin(src int, maxDist int32) []int32 {
 	b.reset()
 	s := int32(src)
 	b.dist[s] = 0
-	b.touched = append(b.touched, s)
 	b.queue = append(b.queue, s)
 	for head := 0; head < len(b.queue); head++ {
 		v := b.queue[head]
@@ -266,7 +264,6 @@ func (b *BFS) RunWithin(src int, maxDist int32) []int32 {
 		for _, w := range b.g.adjSlice(v) {
 			if b.dist[w] == Unreached {
 				b.dist[w] = dv + 1
-				b.touched = append(b.touched, w)
 				b.queue = append(b.queue, w)
 			}
 		}
