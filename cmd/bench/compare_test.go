@@ -69,15 +69,12 @@ func syntheticBaseline(nsPerOp float64, otherMachine bool) trajectory {
 	return trajectory{Series: []entry{e}}
 }
 
-// Case names the gates pair up: the arena case the baseline holds, a
-// hiphase frontier/dense pair (minSpeedup), and the hiphase batched
-// case against the frontier one (minBatchSpeedup).
+// Case names the gates pair up: the arena case the baseline holds and a
+// hiphase frontier/dense pair (minSpeedup).
 const (
-	arenaCase      = "core/run-arena/n=1"
-	frontierCase   = "core/run-hiphase/n=1"
-	denseCase      = "core/run-hiphase-dense/n=1"
-	batchCase      = "core/run-hiphase-batch/n=1"
-	syntheticLanes = 16
+	arenaCase    = "core/run-arena/n=1"
+	frontierCase = "core/run-hiphase/n=1"
+	denseCase    = "core/run-hiphase-dense/n=1"
 )
 
 // TestCompareGates feeds compare each kind of regression and checks that
@@ -88,14 +85,12 @@ func TestCompareGates(t *testing.T) {
 	}
 	shortBenchtime(t)
 	// clean is the set of cases every gate passes: the dense case costs
-	// 4× the frontier one, and one batched op of 16 lanes costs 4× one
-	// scalar op, so a lane runs 4× faster than the scalar case.
+	// 4× the frontier one.
 	clean := func() map[string]benchCase {
 		return map[string]benchCase{
 			arenaCase:    {name: arenaCase, fn: spin(1)},
 			frontierCase: {name: frontierCase, fn: spin(1)},
 			denseCase:    {name: denseCase, fn: spin(4)},
-			batchCase:    {name: batchCase, lanes: syntheticLanes, fn: spin(4)},
 		}
 	}
 	for _, tc := range []struct {
@@ -112,19 +107,11 @@ func TestCompareGates(t *testing.T) {
 			want: arenaCase + ": allocs/op 0 -> 10"},
 		{name: "frontier-ratio", baseline: syntheticBaseline(1e9, true),
 			edit: func(cs map[string]benchCase) {
-				// The frontier case now costs 4× the dense one, and the
-				// batched case keeps its 4× lead over it.
+				// The frontier case now costs 4× the dense one.
 				cs[frontierCase] = benchCase{name: frontierCase, fn: spin(4)}
 				cs[denseCase] = benchCase{name: denseCase, fn: spin(1)}
-				cs[batchCase] = benchCase{name: batchCase, lanes: syntheticLanes, fn: spin(16)}
 			},
 			want: frontierCase + ": frontier speedup"},
-		{name: "batch-ratio", baseline: syntheticBaseline(1e9, true),
-			edit: func(cs map[string]benchCase) {
-				// A lane now costs 4× the scalar run.
-				cs[batchCase] = benchCase{name: batchCase, lanes: syntheticLanes, fn: spin(64)}
-			},
-			want: batchCase + ": batch speedup"},
 		{name: "ns-regression-same-machine", baseline: syntheticBaseline(1, false),
 			want: arenaCase + ": ns/op"},
 	} {
@@ -134,7 +121,7 @@ func TestCompareGates(t *testing.T) {
 				tc.edit(byName)
 			}
 			var cs []benchCase
-			for _, name := range []string{arenaCase, frontierCase, denseCase, batchCase} {
+			for _, name := range []string{arenaCase, frontierCase, denseCase} {
 				cs = append(cs, byName[name])
 			}
 			var out strings.Builder

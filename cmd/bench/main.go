@@ -92,19 +92,12 @@ func loadTrajectory(path string) (trajectory, error) {
 func measure(c benchCase) benchResult {
 	fmt.Fprintf(os.Stderr, "bench %-34s ", c.name)
 	r := testing.Benchmark(c.fn)
-	// Batched cases time one multi-lane invocation per op; dividing by the
-	// lane count records per-run figures, so RunsPerSec is the aggregate
-	// lane throughput and ns/op is directly comparable to the scalar case.
-	lanes := int64(1)
-	if c.lanes > 1 {
-		lanes = int64(c.lanes)
-	}
 	out := benchResult{
 		Name:        c.name,
-		NsPerOp:     float64(r.NsPerOp()) / float64(lanes),
-		AllocsPerOp: r.AllocsPerOp() / lanes,
-		BytesPerOp:  r.AllocedBytesPerOp() / lanes,
-		Iterations:  r.N * int(lanes),
+		NsPerOp:     float64(r.NsPerOp()),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		Iterations:  r.N,
 	}
 	if out.NsPerOp > 0 {
 		out.RunsPerSec = 1e9 / out.NsPerOp
@@ -114,13 +107,10 @@ func measure(c benchCase) benchResult {
 }
 
 // benchCase is one named benchmark the tool can run (and re-run in
-// compare mode). lanes > 1 marks a batched case whose op is one
-// invocation of that many lockstep runs; measure folds it back to
-// per-run units.
+// compare mode).
 type benchCase struct {
-	name  string
-	lanes int
-	fn    func(b *testing.B)
+	name string
+	fn   func(b *testing.B)
 }
 
 // cases builds the benchmark registry for the selected scale.
@@ -150,11 +140,6 @@ func cases(quick bool) []benchCase {
 		topos[n] = core.NewTopology(nets[n])
 	}
 	cfg := core.Config{Algorithm: core.AlgorithmByzantine, Seed: 13, Workers: 1}
-
-	// batchLanes is the lockstep width of the batched cases — the sweep
-	// scheduler's DefaultBatchLanes, so the bench measures the width the
-	// runner actually uses.
-	const batchLanes = sweep.DefaultBatchLanes
 
 	var cs []benchCase
 	for _, n := range sizes {
@@ -197,33 +182,6 @@ func cases(quick bool) []benchCase {
 		}
 	}
 
-	// Batched lockstep execution over the largest arena: batchLanes
-	// Byzantine runs (seeds varied per lane, the sweep's trial axis) share
-	// one CSR traversal per round. One op is one invocation; measure folds
-	// the figures back to per-run units, so the ns/op ratio against
-	// core/run-arena at the same n IS the aggregate throughput gain.
-	nb := sizes[len(sizes)-1]
-	cs = append(cs, benchCase{name: fmt.Sprintf("core/run-batch/n=%d", nb), lanes: batchLanes, fn: func(b *testing.B) {
-		specs := make([]core.LaneSpec, batchLanes)
-		for l := range specs {
-			lcfg := cfg
-			lcfg.Seed = cfg.Seed + uint64(l)
-			specs[l] = core.LaneSpec{Byz: byzs[nb], Cfg: lcfg}
-		}
-		bw := core.NewBatchWorld()
-		defer bw.Close()
-		if _, err := bw.RunTopology(topos[nb], specs); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := bw.RunTopology(topos[nb], specs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}})
-
 	for _, hp := range hiphase {
 		hp := hp
 		prime(hp.n)
@@ -259,34 +217,6 @@ func cases(quick bool) []benchCase {
 				}
 			}})
 		}
-		// The batched variant of the same high-phase regime: here the
-		// shared CSR traversal has the most to amortize — long quiescent
-		// tails where every lane's frontier has collapsed to the same
-		// injector neighborhood.
-		cs = append(cs, benchCase{name: fmt.Sprintf("core/run-hiphase-batch/n=%d", hp.n), lanes: batchLanes, fn: func(b *testing.B) {
-			specs := make([]core.LaneSpec, batchLanes)
-			for l := range specs {
-				specs[l] = core.LaneSpec{Byz: byzOne, Adv: adversary.FinalRoundInflate{}, Cfg: core.Config{
-					Algorithm:      core.AlgorithmBasic,
-					Seed:           uint64(13 + l),
-					Workers:        1,
-					MaxPhase:       hp.maxPhase,
-					FrontierRounds: core.FrontierOn,
-				}}
-			}
-			bw := core.NewBatchWorld()
-			defer bw.Close()
-			if _, err := bw.RunTopology(topos[hp.n], specs); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bw.RunTopology(topos[hp.n], specs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}})
 	}
 
 	// Topology pipeline: cold generation on the fast path (what a cache
@@ -409,26 +339,9 @@ const minSpeedup = 1.1
 // noise room while catching any change that erases the fast path's win.
 const minGenSpeedup = 1.3
 
-// minBatchSpeedup is the floor on the same-run scalar-vs-batched ratio
-// of the hiphase pair: per-run ns/op of the scalar frontier case over
-// the per-lane ns/op of its 16-lane batched counterpart at the same n.
-// The high-phase regime is where the shared traversal amortizes; the
-// floor catches any change that erases lockstep execution's win. The
-// scalar engine's row-max reception kernel left little margin: on a
-// 2-vCPU machine five quick n=512 runs measured 1.52×, 1.62×, 1.30×,
-// 1.41× and 1.26×, and two full-scale runs 1.76× and 1.22× at n=4096,
-// 1.11× and 1.44× at n=16384 (before that kernel: 3.3–4.2× quick,
-// 4.0–4.7× and 4.9–5.5× full). The Byzantine-arena batch case is
-// reported but not gated: it measures below 1 (0.50–0.67× quick,
-// 0.45–0.58× at n=16384). Batching shares only the
-// flood traversal; each lane still runs its own topology exchange,
-// attestation searches and adversary callbacks, so the sweep scheduler
-// runs Byzantine jobs on the scalar engine.
-const minBatchSpeedup = 1.4
-
 // compare re-measures the core/run benchmarks of the baseline's last
-// entry that are available at the current scale and writes a
-// benchstat-style table. Two machine-independent checks always gate:
+// entry that this run also has and writes a benchstat-style table. Two
+// machine-independent checks always gate:
 // allocs/op may not grow (beyond a 0.5% slack absorbing GC-cadence
 // noise in the setup-heavy cases), and each hiphase frontier/dense pair
 // measured in THIS run must keep a ≥ minSpeedup dense-to-frontier ratio. The
@@ -463,7 +376,7 @@ func compare(baseline trajectory, cs []benchCase, maxRegress float64, out *strin
 		}
 		c, ok := byName[old.Name]
 		if !ok {
-			fmt.Fprintf(out, "%-36s skipped: not available at this scale\n", old.Name)
+			fmt.Fprintf(out, "%-36s skipped: not among this run's cases\n", old.Name)
 			continue
 		}
 		now := measureBest(c)
@@ -517,47 +430,6 @@ func compare(baseline trajectory, cs []benchCase, maxRegress float64, out *strin
 		fmt.Fprintf(out, "\n%-36s dense/frontier = %.2fx (floor %.2fx)\n", c.name, ratio, minSpeedup)
 		if ratio < minSpeedup {
 			failures = append(failures, fmt.Sprintf("%s: frontier speedup %.2fx below %.2fx floor", c.name, ratio, minSpeedup))
-		}
-	}
-
-	// Same-run batched-vs-scalar ratio: per-lane batched throughput over
-	// the scalar engine on the identical workload, machine-independent
-	// like the frontier ratio. The high-phase pair gates (traversal-bound,
-	// the regime batching exists for); the Byzantine-arena pair is
-	// informational (verification-bound — see minBatchSpeedup).
-	for _, c := range cs {
-		var scalarName string
-		gated := false
-		switch {
-		case strings.HasPrefix(c.name, "core/run-batch/"):
-			scalarName = strings.Replace(c.name, "core/run-batch/", "core/run-arena/", 1)
-		case strings.HasPrefix(c.name, "core/run-hiphase-batch/"):
-			scalarName = strings.Replace(c.name, "core/run-hiphase-batch/", "core/run-hiphase/", 1)
-			gated = true
-		default:
-			continue
-		}
-		sc, ok := byName[scalarName]
-		if !ok {
-			continue
-		}
-		bt, ok := measured[c.name]
-		if !ok {
-			bt = measureBest(c)
-		}
-		sr, ok := measured[scalarName]
-		if !ok {
-			sr = measureBest(sc)
-			measured[scalarName] = sr
-		}
-		ratio := sr.NsPerOp / bt.NsPerOp
-		if gated {
-			fmt.Fprintf(out, "\n%-36s scalar/batched = %.2fx (floor %.2fx)\n", c.name, ratio, minBatchSpeedup)
-			if ratio < minBatchSpeedup {
-				failures = append(failures, fmt.Sprintf("%s: batch speedup %.2fx below %.2fx floor", c.name, ratio, minBatchSpeedup))
-			}
-		} else {
-			fmt.Fprintf(out, "\n%-36s scalar/batched = %.2fx (informational)\n", c.name, ratio)
 		}
 	}
 

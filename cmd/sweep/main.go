@@ -76,7 +76,6 @@ func run() int {
 		runWorkers = flag.Int("run-workers", 0, "sim workers per job (0 = auto)")
 		cacheCap   = flag.Int("cache", 0, "network cache capacity (0 = default)")
 		netstore   = flag.String("netstore", "", "topology store: a root directory, \"on\" (user cache dir), or \"off\" (default: $REPRO_NETSTORE)")
-		batch      = flag.String("batch", "", "lockstep batched execution of basic-algorithm jobs: \"on\" (16 lanes), \"off\", or a lane width 1..64 (default: $REPRO_BATCH)")
 		storePath  = flag.String("store", "", "JSONL result store (enables resume)")
 		format     = flag.String("format", "md", "aggregate output format: md | csv")
 		outPath    = flag.String("o", "", "write aggregates to this file (default: stdout)")
@@ -157,16 +156,6 @@ func run() int {
 		Workers:    *workers,
 		RunWorkers: *runWorkers,
 		Cache:      cache,
-	}
-	// The -batch flag overrides the REPRO_BATCH environment default with
-	// the same vocabulary (on/off/width); an unparseable explicit
-	// selection is an error rather than a silent scalar sweep.
-	if *batch != "" {
-		width, err := sweep.ResolveBatch(*batch)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Batch = width
 	}
 	if *storePath != "" {
 		store, err := sweep.OpenStore(*storePath)

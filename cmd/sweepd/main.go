@@ -57,7 +57,6 @@ func run() int {
 		runWorkers = flag.Int("run-workers", 0, "sim workers per job (0 = auto)")
 		cacheCap   = flag.Int("cache", 0, "network cache capacity (0 = default)")
 		netstore   = flag.String("netstore", "", "topology store: dir, \"on\", or \"off\" (default: $REPRO_NETSTORE)")
-		batch      = flag.String("batch", "", "lockstep batched execution of basic-algorithm jobs: \"on\", \"off\", or width (default: $REPRO_BATCH)")
 		retries    = flag.Int("retries", 0, "transient coordinator-call retries per request (0 = default)")
 		backoff    = flag.Duration("backoff", 0, "first retry delay, doubled per attempt (0 = default)")
 		maxOffline = flag.Duration("max-offline", 0, "drain and exit after the coordinator is unreachable this long (0 = 90s, negative = wait forever)")
@@ -110,7 +109,7 @@ func run() int {
 	if *workerURL != "" {
 		return runWorker(ctx, workerConfig{
 			url: *workerURL, name: *name, workers: *workers, runWorkers: *runWorkers,
-			cacheCap: *cacheCap, netstore: *netstore, batch: *batch,
+			cacheCap: *cacheCap, netstore: *netstore,
 			retries: *retries, backoff: *backoff, maxOffline: *maxOffline,
 			chaosDelay: *chaosDelay,
 		})
@@ -131,7 +130,7 @@ type workerConfig struct {
 	url, name           string
 	workers, runWorkers int
 	cacheCap            int
-	netstore, batch     string
+	netstore            string
 	retries             int
 	backoff, maxOffline time.Duration
 	chaosDelay          time.Duration
@@ -147,13 +146,6 @@ func runWorker(ctx context.Context, cfg workerConfig) int {
 		opts.Cache = sweep.NewNetCacheWithStore(cfg.cacheCap, ns)
 	} else if cfg.cacheCap != 0 {
 		opts.Cache = sweep.NewNetCache(cfg.cacheCap)
-	}
-	if cfg.batch != "" {
-		width, err := sweep.ResolveBatch(cfg.batch)
-		if err != nil {
-			return fail(err)
-		}
-		opts.Batch = width
 	}
 	var hc *http.Client
 	if cfg.chaosDelay > 0 {

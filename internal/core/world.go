@@ -147,14 +147,6 @@ type World struct {
 	// message loss (atomic: stepNode runs in parallel).
 	plan    FaultPlan
 	dropped atomic.Int64
-
-	// batch/lane bind this World as lane `lane` of a BatchWorld run (see
-	// batch.go): the hot flood state then lives lane-major in the batch's
-	// struct-of-arrays boards, and the Held/CoinStream accessors redirect
-	// there so adversaries and observers see the batch state through the
-	// unchanged scalar API. nil outside batch execution.
-	batch *BatchWorld
-	lane  int
 }
 
 // NewWorld returns an empty arena. Reset it before running; Close it when
@@ -269,7 +261,6 @@ func (w *World) ResetTopology(topo *Topology, byz []bool, adv Adversary, cfg Con
 	w.logUpTo = resetSlice(w.logUpTo, n)
 	w.occStepped, w.occRounds = 0, 0
 	w.occPerPhase = w.occPerPhase[:0]
-	w.batch, w.lane = nil, 0
 
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -381,12 +372,7 @@ func (w *World) N() int { return w.Net.H.N() }
 
 // Held returns the color node v currently holds (after the last completed
 // round of the current subphase).
-func (w *World) Held(v int) int64 {
-	if bw := w.batch; bw != nil {
-		return bw.cur[v*bw.nl+w.lane]
-	}
-	return w.held.Cur()[v]
-}
+func (w *World) Held(v int) int64 { return w.held.Cur()[v] }
 
 // HeldLogAt returns the color node v held after round r of the current
 // subphase; r = 0 is the node's own generated color.
@@ -405,16 +391,6 @@ func (w *World) HeldLogAt(v, r int) int64 {
 // and heldLog entries at or below it are never written again, so this is
 // safe to call from the round's worker goroutines.
 func (w *World) logAt(x int32, r int) int64 {
-	if bw := w.batch; bw != nil {
-		// Batch-bound lanes log into the shared round-major board (one
-		// contiguous row per round) with a lane-major watermark instead
-		// of per-lane slabs; the clamp rule is unchanged.
-		idx := int(x)*bw.nl + w.lane
-		if u := int(bw.blogUp[idx]); r > u {
-			r = u
-		}
-		return bw.blog[r][idx]
-	}
 	if u := int(w.logUpTo[x]); r > u {
 		r = u
 	}
@@ -439,12 +415,7 @@ func (w *World) IsActive(v int) bool {
 // CoinStream returns a clone of v's protocol coin stream: the adversary can
 // replay every future color v will draw (the paper's adversary knows all
 // current and future random choices).
-func (w *World) CoinStream(v int) *rng.Source {
-	if bw := w.batch; bw != nil {
-		return bw.colorSrc[v*bw.nl+w.lane].Clone()
-	}
-	return w.colorSrc[v].Clone()
-}
+func (w *World) CoinStream(v int) *rng.Source { return w.colorSrc[v].Clone() }
 
 // ByzantineNodes returns the indices of the Byzantine nodes.
 func (w *World) ByzantineNodes() []int32 { return w.byzList }

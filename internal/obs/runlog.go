@@ -30,7 +30,9 @@ type RunEvent struct {
 	// Event names the lifecycle step: sweep_start, job_start, job_done,
 	// job_skip, job_drop (a worker shedding a job stolen from its
 	// shard), shard_split (a sweepd coordinator cutting a straggler's
-	// remainder for an idle worker), sweep_end.
+	// remainder for an idle worker), sweep_end (ran, resumed, errors and
+	// elapsed_ms; dropped when jobs were shed unrun; aborted and
+	// abandoned after a cancellation).
 	Event  string         `json:"event"`
 	Fields map[string]any `json:"fields,omitempty"`
 }

@@ -158,14 +158,13 @@ func (c *Counters) AddAggregate(messages, bits int64) {
 }
 
 // AddAggregateMax folds a pre-reduced batch of messages, bits, and the
-// batch's largest single message into the totals in O(1). It is the
-// batched round kernel's counter fold: each worker chunk accumulates
-// per-lane message/bit sums and a running per-lane maximum on its stack,
-// then publishes the whole chunk with one call per lane — the exact
-// totals (sums are order-independent) and the exact maximum (max of
-// per-chunk maxima equals the global maximum) the scalar engine's
-// per-message CountMessages calls would have produced, without the
-// per-message atomic traffic.
+// batch's largest single message into the totals in O(1). It is the fold
+// the core engine's msgTally.publish uses: each worker chunk accumulates
+// message/bit sums and a running maximum on its stack, then publishes
+// the whole chunk with one call — the exact totals (sums are
+// order-independent) and the exact maximum (max of per-chunk maxima
+// equals the global maximum) that per-message CountMessages calls would
+// have produced, without the per-message atomic traffic.
 func (c *Counters) AddAggregateMax(messages, bits, maxBits int64) {
 	if messages != 0 || bits != 0 {
 		c.messages.Add(messages)

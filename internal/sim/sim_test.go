@@ -99,8 +99,8 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-// TestAddAggregateMax pins the batched engine's O(1) counter fold against
-// per-message accounting: partitioning a message stream into arbitrary
+// TestAddAggregateMax pins the O(1) counter fold that the core engine's
+// msgTally.publish uses against per-message accounting: partitioning a message stream into arbitrary
 // chunks, pre-reducing each chunk to (messages, bits, maxBits), and
 // folding the chunks must reproduce the exact totals and maximum that
 // per-message CountMessages calls produce.
@@ -126,7 +126,7 @@ func TestAddAggregateMax(t *testing.T) {
 			folded.AddAggregateMax(msgs, bits, maxb)
 			start += width
 		}
-		// An empty fold (a chunk whose lanes were all quiet) must be a no-op.
+		// An empty fold (a chunk that charged nothing) must be a no-op.
 		folded.AddAggregateMax(0, 0, 0)
 		if folded.Messages() != perMsg.Messages() || folded.Bits() != perMsg.Bits() || folded.MaxMessageBits() != perMsg.MaxMessageBits() {
 			t.Fatalf("chunks %v: folded (%d, %d, max %d) != per-message (%d, %d, max %d)",

@@ -37,14 +37,6 @@ type Monitor struct {
 	tiers   map[string]int
 	cache   *NetCache
 	reg     *obs.Registry
-
-	// Batched-execution tallies: batched counts jobs that ran as lanes
-	// of a multi-lane invocation, and batchInv accumulates 1/width per
-	// such job — each invocation's lanes sum to exactly one invocation —
-	// so batched/batchInv is the mean lane width without the monitor
-	// ever seeing invocation boundaries.
-	batched  int
-	batchInv float64
 }
 
 // NewMonitor returns a monitor for a sweep of total jobs. cache supplies
@@ -95,10 +87,6 @@ func (m *Monitor) Observe(done, total int, out Outcome) {
 	if out.CacheTier != "" {
 		m.tiers[out.CacheTier]++
 	}
-	if out.BatchLanes > 1 {
-		m.batched++
-		m.batchInv += 1 / float64(out.BatchLanes)
-	}
 }
 
 // StageStat is one row of the stage-time breakdown.
@@ -143,12 +131,6 @@ type Status struct {
 	CacheTiers map[string]int `json:"cache_tiers,omitempty"`
 	Cache      *CacheStatus   `json:"cache,omitempty"`
 	Telemetry  obs.Snapshot   `json:"telemetry"`
-
-	// BatchedJobs counts jobs executed as lanes of multi-lane batched
-	// invocations; BatchMeanLanes is those invocations' mean lane width
-	// (0 when nothing batched).
-	BatchedJobs    int     `json:"batched_jobs,omitempty"`
-	BatchMeanLanes float64 `json:"batch_mean_lanes,omitempty"`
 }
 
 // Status renders the monitor's current view.
@@ -170,10 +152,6 @@ func (m *Monitor) Status() Status {
 		for tier, n := range m.tiers {
 			s.CacheTiers[tier] = n
 		}
-	}
-	if m.batched > 0 && m.batchInv > 0 {
-		s.BatchedJobs = m.batched
-		s.BatchMeanLanes = float64(m.batched) / m.batchInv
 	}
 	cache, reg := m.cache, m.reg
 	m.mu.Unlock()
@@ -243,7 +221,6 @@ func stageStats(expand time.Duration, stages StageTimes, ran int) []StageStat {
 func (m *Monitor) Breakdown() string {
 	m.mu.Lock()
 	expand, stages, ran := m.expand, m.stages, m.ran
-	batched, batchInv := m.batched, m.batchInv
 	m.mu.Unlock()
 
 	var b strings.Builder
@@ -256,10 +233,6 @@ func (m *Monitor) Breakdown() string {
 		}
 		fmt.Fprintf(&b, "  %-14s %12s %12s %6.1f%%\n",
 			st.Stage, fmtMS(st.TotalMS), mean, st.Share*100)
-	}
-	if batched > 0 && batchInv > 0 {
-		fmt.Fprintf(&b, "  batched: %d jobs in %.0f invocations, mean lane width %.1f\n",
-			batched, batchInv, float64(batched)/batchInv)
 	}
 	return b.String()
 }

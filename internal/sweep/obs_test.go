@@ -3,7 +3,8 @@ package sweep
 // obs_test.go covers the scheduler's observability surface: progress
 // callback ordering under concurrency, stage-timing monotonicity,
 // consistency between the cache's accessor stats and the obs registry,
-// run-log event structure, and the live Monitor/Status document. All of
+// run-log event structure, jobs shed by Options.Drop, and the live
+// Monitor/Status document. All of
 // it must hold with full worker parallelism — telemetry that is only
 // coherent single-threaded is not telemetry.
 
@@ -11,10 +12,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/hgraph"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -362,6 +365,92 @@ func TestRunLogLifecycle(t *testing.T) {
 		if events2[i].Event != "job_skip" {
 			t.Fatalf("resume event %d = %v, want job_skip", i, events2[i].Event)
 		}
+	}
+}
+
+// TestDropShedsJobs pins Options.Drop: a shed job gets a Dropped
+// outcome with no error, no Summary and no store record, one job_drop
+// event and no job_start; progress still fires once per job; and
+// sweep_end's ran counts only the jobs that ran, agreeing with the
+// Monitor, with the shed ones in its dropped field.
+func TestDropShedsJobs(t *testing.T) {
+	jobs, err := testSpec().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shed := map[string]bool{jobs[3].Key(): true, jobs[10].Key(): true}
+	store, err := OpenStore(t.TempDir() + "/results.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	reg := obs.NewRegistry()
+	mon := NewMonitor("test", len(jobs), nil, reg)
+	progress := map[string]int{}
+	var buf bytes.Buffer
+	opts := Options{
+		Workers:   4,
+		Store:     store,
+		Telemetry: reg,
+		RunLog:    obs.NewRunLog(&buf),
+		Drop:      func(j Job) bool { return shed[j.Key()] },
+		Progress: func(done, total int, out Outcome) {
+			mon.Observe(done, total, out)
+			progress[out.Job.Key()]++
+		},
+	}
+	outs, err := Run(jobs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for i, o := range outs {
+		key := jobs[i].Key()
+		_, stored := store.Lookup(key)
+		if o.Dropped != shed[key] {
+			t.Fatalf("job %d: Dropped = %v, want %v", i, o.Dropped, shed[key])
+		}
+		if o.Err != nil {
+			t.Fatalf("job %d: err %v", i, o.Err)
+		}
+		if o.Dropped && (!reflect.DeepEqual(o.Summary, metrics.Summary{}) || stored) {
+			t.Fatalf("shed job %d: summary %+v, stored %v", i, o.Summary, stored)
+		}
+		if !o.Dropped && !stored {
+			t.Fatalf("job %d ran but has no store record", i)
+		}
+		if progress[key] != 1 {
+			t.Fatalf("job %d: progress fired %d times", i, progress[key])
+		}
+	}
+
+	events, err := obs.ReadRunLog(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drops, starts := map[string]int{}, map[string]int{}
+	var end map[string]any
+	for _, e := range events {
+		switch e.Event {
+		case "job_drop":
+			drops[e.Fields["key"].(string)]++
+		case "job_start":
+			starts[e.Fields["key"].(string)]++
+		case "sweep_end":
+			end = e.Fields
+		}
+	}
+	for key := range shed {
+		if drops[key] != 1 || starts[key] != 0 {
+			t.Fatalf("shed job %s: %d job_drop, %d job_start events", key, drops[key], starts[key])
+		}
+	}
+	if len(drops) != len(shed) || len(starts) != len(jobs)-len(shed) {
+		t.Fatalf("%d jobs dropped, %d started; want %d and %d", len(drops), len(starts), len(shed), len(jobs)-len(shed))
+	}
+	ran := mon.Status().Ran
+	if ran != len(jobs)-len(shed) || end["ran"] != float64(ran) || end["dropped"] != float64(len(shed)) {
+		t.Fatalf("sweep_end %v, Monitor ran %d; want ran %d, dropped %d", end, ran, len(jobs)-len(shed), len(shed))
 	}
 }
 

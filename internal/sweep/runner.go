@@ -53,16 +53,6 @@ type Options struct {
 	// scheduler step (sweep start/end, job start/finish, resume skips).
 	// Logging is best effort — a failing run-log never fails a job.
 	RunLog *obs.RunLog
-	// Batch caps the lane width of lockstep batched execution: pending
-	// basic-algorithm jobs sharing a topology and protocol schedule run
-	// as lanes of one core.RunBatch invocation (per-job Outcomes,
-	// Records, keys, and digests are unchanged — grouping is pure
-	// scheduling). 0 consults the REPRO_BATCH environment variable (off
-	// when unset); 1 disables batching; larger widths are clamped to
-	// core.MaxBatchLanes. A per-job Observer disables batching, and
-	// occupancy-recording and Byzantine-algorithm jobs run on the scalar
-	// engine individually.
-	Batch int
 	// Drop, when non-nil, is consulted immediately before a pending job
 	// would execute; returning true abandons the job without running
 	// it. The outcome is marked Dropped (no Summary, no store write, no
@@ -120,11 +110,6 @@ type Outcome struct {
 	CacheTier string
 	Worker    int
 
-	// BatchLanes is the lane count of the batched invocation that
-	// executed this job (1 when it ran the scalar engine alone, 0 for
-	// store hits and jobs that failed before execution).
-	BatchLanes int
-
 	// Populated only when Options.KeepResults is set and the job actually
 	// ran (store hits carry only the Summary):
 	Result   *core.Result
@@ -148,15 +133,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Telemetry == nil {
 		o.Telemetry = obs.Default
-	}
-	if o.Batch == 0 {
-		o.Batch = EnvBatch()
-	}
-	if o.Batch < 1 {
-		o.Batch = 1
-	}
-	if o.Batch > core.MaxBatchLanes {
-		o.Batch = core.MaxBatchLanes
 	}
 	if o.Cache == nil {
 		o.Cache = NewNetCache(0)
@@ -185,7 +161,7 @@ func Run(jobs []Job, opts Options) ([]Outcome, error) {
 }
 
 // RunContext is Run with cancellation: when ctx is canceled mid-sweep,
-// no new work items are dispatched, in-flight jobs drain to completion
+// no new jobs are dispatched, in-flight jobs drain to completion
 // (their results are persisted as usual), every job that never started is
 // marked with ctx's error, and the run-log's sweep_end carries
 // "aborted": true. The returned error wraps ctx.Err() — callers detect
@@ -216,7 +192,6 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error
 	_ = opts.RunLog.Event("sweep_start", map[string]any{
 		"jobs": len(jobs), "pending": len(pending),
 		"resumed": len(jobs) - len(pending), "workers": opts.Workers,
-		"batch": opts.Batch,
 	})
 	for _, i := range skipped {
 		_ = opts.RunLog.Event("job_skip", map[string]any{
@@ -248,17 +223,13 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error
 	// per-job accounting below is then pure atomics, no name lookups.
 	tele := newRunTelemetry(opts.Telemetry)
 
-	// Group pending jobs into work items: compatible jobs become lanes of
-	// one batched invocation, everything else stays a singleton running
-	// the scalar engine.
-	items := batchPlan(jobs, pending, opts)
-
-	// executed marks jobs a worker actually picked up; each index is
-	// written by exactly one worker before wg.Wait, so the post-drain
-	// scan below is race-free.
+	// executed marks jobs a worker actually ran (a dropped job is marked
+	// Dropped on its outcome instead); each index is written by exactly
+	// one worker before wg.Wait, so the post-drain scan below is
+	// race-free.
 	executed := make([]bool, len(jobs))
 
-	work := make(chan []int)
+	work := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
@@ -267,85 +238,49 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error
 			// One simulation arena per worker, reused across jobs: the
 			// engine's per-run state and sim.Pool are rewound by Reset
 			// instead of reallocated, and cache-hit jobs reuse the
-			// cached network's precomputed topology tables. The batched
-			// arena is created on first batched item only — a scalar
-			// sweep never pays for it.
+			// cached network's precomputed topology tables.
 			arena := core.NewWorld()
 			defer arena.Close()
-			var barena *core.BatchWorld
-			defer func() {
-				if barena != nil {
-					barena.Close()
-				}
-			}()
-			for item := range work {
-				// Shed dropped jobs at dispatch, not at plan time: a Drop
-				// verdict can arrive (a steal notification) between the
-				// batch plan and this item's turn on the worker.
-				if opts.Drop != nil {
-					kept := item[:0]
-					for _, i := range item {
-						if opts.Drop(jobs[i]) {
-							executed[i] = true
-							outs[i] = Outcome{Job: jobs[i], Dropped: true, Worker: -1}
-							_ = opts.RunLog.Event("job_drop", map[string]any{
-								"key": jobs[i].Key(), "label": jobs[i].Label(),
-							})
-							report(i)
-							continue
-						}
-						kept = append(kept, i)
-					}
-					item = kept
-					if len(item) == 0 {
-						continue
-					}
-				}
-				for _, i := range item {
-					executed[i] = true
-					_ = opts.RunLog.Event("job_start", map[string]any{
-						"key": jobs[i].Key(), "label": jobs[i].Label(), "worker": worker,
-						"lanes": len(item),
+			for i := range work {
+				// Shed dropped jobs at dispatch, not up front: a Drop
+				// verdict (a steal notification) can arrive while the job
+				// waits for a worker.
+				if opts.Drop != nil && opts.Drop(jobs[i]) {
+					outs[i] = Outcome{Job: jobs[i], Dropped: true, Worker: -1}
+					_ = opts.RunLog.Event("job_drop", map[string]any{
+						"key": jobs[i].Key(), "label": jobs[i].Label(),
 					})
-				}
-				start := time.Now()
-				if len(item) == 1 {
-					i := item[0]
-					out := execute(jobs[i], opts, arena, tele)
-					out.BatchLanes = 1
-					outs[i] = out
-				} else {
-					if barena == nil {
-						barena = core.NewBatchWorld()
-					}
-					executeBatch(jobs, item, opts, barena, tele, outs)
-				}
-				ms := float64(time.Since(start).Microseconds()) / 1000 / float64(len(item))
-				for _, i := range item {
-					outs[i].Worker = worker
-					fields := map[string]any{
-						"key": jobs[i].Key(), "label": jobs[i].Label(), "worker": worker,
-						"ms":     ms,
-						"tier":   outs[i].CacheTier,
-						"stages": outs[i].Stages,
-						"lanes":  outs[i].BatchLanes,
-					}
-					if outs[i].Err != nil {
-						fields["err"] = outs[i].Err.Error()
-					}
-					_ = opts.RunLog.Event("job_done", fields)
 					report(i)
+					continue
 				}
+				executed[i] = true
+				_ = opts.RunLog.Event("job_start", map[string]any{
+					"key": jobs[i].Key(), "label": jobs[i].Label(), "worker": worker,
+				})
+				start := time.Now()
+				outs[i] = execute(jobs[i], opts, arena, tele)
+				outs[i].Worker = worker
+				fields := map[string]any{
+					"key": jobs[i].Key(), "label": jobs[i].Label(), "worker": worker,
+					"ms":     float64(time.Since(start).Microseconds()) / 1000,
+					"tier":   outs[i].CacheTier,
+					"stages": outs[i].Stages,
+				}
+				if outs[i].Err != nil {
+					fields["err"] = outs[i].Err.Error()
+				}
+				_ = opts.RunLog.Event("job_done", fields)
+				report(i)
 			}
 		}(w)
 	}
-	// Feed items until the list is exhausted or the context is canceled:
-	// cancellation stops dispatch, in-flight items drain (their results
+	// Feed jobs until the list is exhausted or the context is canceled:
+	// cancellation stops dispatch, in-flight jobs drain (their results
 	// land in the store as usual), and the remainder is marked below.
 feed:
-	for _, item := range items {
+	for _, i := range pending {
 		select {
-		case work <- item:
+		case work <- i:
 		case <-ctx.Done():
 			break feed
 		}
@@ -353,35 +288,34 @@ feed:
 	close(work)
 	wg.Wait()
 
+	// ran and errs count only jobs that actually ran: dropped jobs were
+	// shed unrun, and abandoned jobs are accounted separately so an abort
+	// doesn't read as a pile of errors.
 	aborted := ctx.Err() != nil
-	ran := 0
-	if aborted {
-		for _, i := range pending {
-			if executed[i] {
-				ran++
-				continue
-			}
-			outs[i] = Outcome{Job: jobs[i], Err: ctx.Err(), Worker: -1}
-		}
-	} else {
-		ran = len(pending)
-	}
-
-	// errs counts failures of jobs that actually ran; abandoned jobs are
-	// accounted separately so an abort doesn't read as a pile of errors.
-	errs := 0
+	ran, dropped, errs := 0, 0, 0
 	for _, i := range pending {
-		if executed[i] && outs[i].Err != nil {
-			errs++
+		switch {
+		case executed[i]:
+			ran++
+			if outs[i].Err != nil {
+				errs++
+			}
+		case outs[i].Dropped:
+			dropped++
+		case aborted:
+			outs[i] = Outcome{Job: jobs[i], Err: ctx.Err(), Worker: -1}
 		}
 	}
 	end := map[string]any{
 		"ran": ran, "resumed": len(jobs) - len(pending), "errors": errs,
 		"elapsed_ms": float64(time.Since(sweepStart).Microseconds()) / 1000,
 	}
+	if dropped > 0 {
+		end["dropped"] = dropped
+	}
 	if aborted {
 		end["aborted"] = true
-		end["abandoned"] = len(pending) - ran
+		end["abandoned"] = len(pending) - ran - dropped
 	}
 	_ = opts.RunLog.Event("sweep_end", end)
 	if aborted {
@@ -408,11 +342,6 @@ type runTelemetry struct {
 	dropped  *obs.Counter // "core.dropped_messages"
 	rejoins  *obs.Counter // "core.rejoins"
 
-	// Batched-execution accounting: lanes over invocations is the mean
-	// lane occupancy the breakdown table reports.
-	batchLanes       *obs.Counter // "core.batch.lanes"
-	batchInvocations *obs.Counter // "core.batch.invocations"
-
 	stageLookup *obs.Timer // "sweep.stage.cache_lookup"
 	stageGen    *obs.Timer // "sweep.stage.generate"
 	stageDisk   *obs.Timer // "sweep.stage.disk_load"
@@ -431,9 +360,6 @@ func newRunTelemetry(reg *obs.Registry) runTelemetry {
 		bits:     reg.Counter("core.bits"),
 		dropped:  reg.Counter("core.dropped_messages"),
 		rejoins:  reg.Counter("core.rejoins"),
-
-		batchLanes:       reg.Counter("core.batch.lanes"),
-		batchInvocations: reg.Counter("core.batch.invocations"),
 
 		stageLookup: reg.Timer("sweep.stage.cache_lookup"),
 		stageGen:    reg.Timer("sweep.stage.generate"),

@@ -4,10 +4,10 @@
 // into contiguous Job.Key() ranges, and serves those shards over HTTP
 // with lease-based assignment. Worker processes (the same binary in
 // -worker mode) claim a shard, run it through the existing scheduler —
-// per-worker arenas, batch planner, netstore disk tier all unchanged —
-// stream Records back, and heartbeat; a lease that expires is reassigned
-// to the next claimant, so worker death is survived by the same resume
-// semantics an interrupted single-process sweep uses: the coordinator
+// per-worker arenas and netstore disk tier unchanged — stream Records
+// back, and heartbeat; a lease that expires is reassigned to the next
+// claimant, so worker death is survived by the same resume semantics
+// an interrupted single-process sweep uses: the coordinator
 // refilters a reassigned shard against the store, and duplicate results
 // dedup by content key.
 //

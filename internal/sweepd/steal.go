@@ -24,7 +24,7 @@ import (
 const DefaultStealMin = 2
 
 // ResolveSteal maps a -steal flag / REPRO_STEAL value to an enablement
-// decision, using the same vocabulary as REPRO_NETSTORE/REPRO_BATCH:
+// decision, using the same vocabulary as REPRO_NETSTORE:
 // empty, "off", and "0" disable (the default — lease expiry remains
 // the only reassignment path, bit-for-bit identical to the pre-steal
 // coordinator); "on" and "1" enable.

@@ -1,8 +1,8 @@
 package sweepd
 
 // worker.go is the client side: a Worker claims shards, runs them
-// through the unchanged sweep scheduler (per-worker arenas, batch
-// planner, netstore disk tier — sweep.Options carries all of it), and
+// through the unchanged sweep scheduler (per-worker arenas, netstore
+// disk tier — sweep.Options carries all of it), and
 // streams each finished job's Record back as it completes while a
 // heartbeat keeps the lease alive through long jobs. Losing the lease
 // (HTTP 409 on any call) cancels the shard's context, which drains
@@ -32,7 +32,7 @@ type WorkerOptions struct {
 	// ("" derives host.pid).
 	Name string
 	// Opts is the local execution configuration — Workers, RunWorkers,
-	// Batch, Cache, Telemetry, RunLog all apply per shard. Store and
+	// Cache, Telemetry, RunLog all apply per shard. Store and
 	// Progress are owned by the worker loop (results belong to the
 	// coordinator's store).
 	Opts sweep.Options
