@@ -61,8 +61,9 @@ type (
 	// FaultModel is one pluggable source of runtime faults (crash churn,
 	// join/rejoin churn, message loss) composed via Config.Faults.
 	FaultModel = core.FaultModel
-	// CrashChurn schedules permanent mid-run crash failures (the classic
-	// Config.Churn behavior as a fault model).
+	// CrashChurn schedules permanent mid-run crash failures (an
+	// extension beyond the paper, which crashes nodes only at the
+	// topology exchange).
 	CrashChurn = core.CrashChurn
 	// JoinChurn schedules oblivious leave/rejoin churn (the dynamic
 	// regime of arXiv:2204.11951).

@@ -103,7 +103,7 @@ func main() {
 			cfg.Observer = rec
 		}
 		if *churn > 0 {
-			cfg.Churn = core.ChurnConfig{Crashes: int(*churn * float64(*n)), Seed: s + 31}
+			cfg.Faults = []core.FaultModel{core.CrashChurn{Crashes: int(*churn * float64(*n)), Seed: s + 31}}
 		}
 		res, err := arena.Run(net, byz, adv, cfg)
 		if err != nil {

@@ -88,6 +88,11 @@ func run() int {
 	)
 	flag.Parse()
 
+	render, err := sweep.Renderer(*format)
+	if err != nil {
+		fatal(err)
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -102,7 +107,6 @@ func run() int {
 
 	var spec sweep.Spec
 	if *specPath != "" {
-		var err error
 		spec, err = sweep.LoadSpec(*specPath)
 		if err != nil {
 			fatal(err)
@@ -269,15 +273,7 @@ func run() int {
 	}
 
 	groups := sweep.Aggregate(outs)
-	var rendered string
-	switch *format {
-	case "md":
-		rendered = sweep.Markdown(fmt.Sprintf("Sweep %s", spec.Name), groups)
-	case "csv":
-		rendered = sweep.CSV(groups)
-	default:
-		fatal(fmt.Errorf("unknown format %q (want md|csv)", *format))
-	}
+	rendered := render("Sweep "+spec.Name, groups)
 	if *outPath == "" {
 		fmt.Print(rendered)
 		return 0

@@ -83,9 +83,7 @@ func run() int {
 		journal    = flag.String("journal", "", "coordinator crash-recovery journal (default: <store>.journal; \"off\" disables epoch fencing)")
 		shards     = flag.Int("shards", 0, "content-key-range shard count (0 = default)")
 		lease      = flag.Duration("lease", 0, "lease TTL before a silent worker's shard reassigns (0 = default)")
-		steal      = flag.String("steal", "", "work stealing: split straggling shards for idle workers, \"on\" or \"off\" (default: $REPRO_STEAL)")
-		stealMin   = flag.Int("steal-min", 0, "minimum unreported jobs a shard must hold to be split (0 = default)")
-		stealAfter = flag.Duration("steal-after", 0, "how long a shard may stall before it is steal-eligible (0 = half the lease TTL)")
+		stealAfter = flag.Duration("steal-after", 0, "how long a shard may stall before idle workers split it (0 = half the lease TTL)")
 		httpAddr   = flag.String("http", ":9900", "coordinator listen address")
 		runlogPath = flag.String("runlog", "", "JSONL run-log path (default: <store>.runlog; \"off\" disables)")
 		telePath   = flag.String("telemetry", "", "write the final coordinator status (JSON) to this file")
@@ -119,8 +117,8 @@ func run() int {
 		places: *places, advs: *advs, algs: *algs, epsilons: *epsilons,
 		churns: *churns, faults: *faults, joins: *joins, losses: *losses,
 		trials: *trials, seed: *seed,
-		storePath: *storePath, journalPath: *journal, shards: *shards, lease: *lease,
-		steal: *steal, stealMin: *stealMin, stealAfter: *stealAfter,
+		storePath: *storePath, journalPath: *journal,
+		shards: *shards, lease: *lease, stealAfter: *stealAfter,
 		httpAddr: *httpAddr, runlogPath: *runlogPath, telePath: *telePath,
 		format: *format, outPath: *outPath, quiet: *quiet,
 	})
@@ -193,10 +191,7 @@ type coordinatorConfig struct {
 	seed                                                           uint64
 	storePath, journalPath                                         string
 	shards                                                         int
-	lease                                                          time.Duration
-	steal                                                          string
-	stealMin                                                       int
-	stealAfter                                                     time.Duration
+	lease, stealAfter                                              time.Duration
 	httpAddr, runlogPath, telePath, format, outPath                string
 	quiet                                                          bool
 }
@@ -205,9 +200,12 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) int {
 	if cfg.storePath == "" {
 		return fail(fmt.Errorf("sweepd: coordinator needs -store (the merged result store)"))
 	}
+	render, err := sweep.Renderer(cfg.format)
+	if err != nil {
+		return fail(err)
+	}
 	var spec sweep.Spec
 	if cfg.specPath != "" {
-		var err error
 		spec, err = sweep.LoadSpec(cfg.specPath)
 		if err != nil {
 			return fail(err)
@@ -271,14 +269,6 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) int {
 		}
 	}
 
-	stealOn := sweepd.EnvSteal()
-	if cfg.steal != "" {
-		stealOn, err = sweepd.ResolveSteal(cfg.steal)
-		if err != nil {
-			return fail(err)
-		}
-	}
-
 	mon := sweep.NewMonitor(spec.Name, len(jobs), nil, nil)
 	mon.SetExpand(expand)
 	coord, err := sweepd.NewCoordinator(jobs, sweepd.Config{
@@ -289,15 +279,10 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) int {
 		Monitor:    mon,
 		RunLog:     runlog,
 		Journal:    journal,
-		Steal:      stealOn,
-		StealMin:   cfg.stealMin,
 		StealAfter: cfg.stealAfter,
 	})
 	if err != nil {
 		return fail(err)
-	}
-	if stealOn {
-		fmt.Fprintln(os.Stderr, "work stealing on: straggling shards split for idle workers")
 	}
 	if journal != nil {
 		fmt.Fprintf(os.Stderr, "journal %s (epoch %d): a restarted coordinator resumes this sweep and fences stale leases\n",
@@ -366,15 +351,7 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) int {
 	writeStatus()
 
 	groups := sweep.Aggregate(outs)
-	var rendered string
-	switch cfg.format {
-	case "md":
-		rendered = sweep.Markdown(fmt.Sprintf("Sweep %s", spec.Name), groups)
-	case "csv":
-		rendered = sweep.CSV(groups)
-	default:
-		return fail(fmt.Errorf("unknown format %q (want md|csv)", cfg.format))
-	}
+	rendered := render("Sweep "+spec.Name, groups)
 	if cfg.outPath == "" {
 		fmt.Print(rendered)
 	} else {

@@ -14,7 +14,7 @@ func TestChurnCrashesScheduledNodes(t *testing.T) {
 	res, err := Run(net, nil, nil, Config{
 		Algorithm: AlgorithmByzantine,
 		Seed:      83,
-		Churn:     ChurnConfig{Crashes: 50, Seed: 84},
+		Faults:    []FaultModel{CrashChurn{Crashes: 50, Seed: 84}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestChurnSurvivorsStayAccurate(t *testing.T) {
 	res, err := Run(net, nil, nil, Config{
 		Algorithm: AlgorithmByzantine,
 		Seed:      87,
-		Churn:     ChurnConfig{Crashes: 200, Seed: 88},
+		Faults:    []FaultModel{CrashChurn{Crashes: 200, Seed: 88}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestChurnZeroIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(net, nil, nil, Config{Algorithm: AlgorithmBasic, Seed: 91, Churn: ChurnConfig{Crashes: 0}})
+	b, err := Run(net, nil, nil, Config{Algorithm: AlgorithmBasic, Seed: 91, Faults: []FaultModel{CrashChurn{Crashes: 0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestChurnCapsAtHonestCount(t *testing.T) {
 		Algorithm: AlgorithmBasic,
 		Seed:      95,
 		MaxPhase:  8,
-		Churn:     ChurnConfig{Crashes: 1000, Seed: 96},
+		Faults:    []FaultModel{CrashChurn{Crashes: 1000, Seed: 96}},
 	})
 	if err != nil {
 		t.Fatal(err)

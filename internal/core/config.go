@@ -118,16 +118,8 @@ type Config struct {
 	// population in each subphase — the quantity Lemma 16 bounds by k−1.
 	// (Later holds are legitimate honest flooding, per Lemma 17.)
 	InjectionThreshold int64
-	// Churn injects crash failures during the run (an extension beyond the
-	// paper, which handles crashes only at the exchange): the configured
-	// number of random honest nodes permanently stop participating at the
-	// starts of random early phases. Estimation must survive on the
-	// remaining expander (experiment E15). Internally this is the
-	// CrashChurn fault model; the field remains for compatibility and is
-	// scheduled before any Faults entry.
-	Churn ChurnConfig
-	// Faults composes pluggable runtime fault models beyond Churn: each
-	// entry contributes scheduled crash/rejoin transitions (CrashChurn,
+	// Faults composes pluggable runtime fault models: each entry
+	// contributes scheduled crash/rejoin transitions (CrashChurn,
 	// JoinChurn) or per-edge message omission (MessageLoss) to the run.
 	// Models are scheduled in slice order; nil entries are ignored. Empty
 	// Faults is the paper's static reliable-network regime.
@@ -142,17 +134,6 @@ type Config struct {
 	// node-rounds actually stepped in each phase (experiment E20). Under
 	// FrontierOff every phase records 1.
 	RecordFrontierOccupancy bool
-}
-
-// ChurnConfig schedules mid-run crash failures.
-type ChurnConfig struct {
-	// Crashes is how many honest nodes crash-fail during the run.
-	Crashes int
-	// Seed drives victim and timing selection.
-	Seed uint64
-	// LastPhase bounds the phases at which crashes may fire (phases
-	// 2..LastPhase); 0 selects 6.
-	LastPhase int
 }
 
 // Observer receives a serial callback at the end of every round.
@@ -189,9 +170,6 @@ func (c Config) Validate() error {
 	}
 	if c.Algorithm != AlgorithmBasic && c.Algorithm != AlgorithmByzantine {
 		return fmt.Errorf("core: unknown algorithm %d", c.Algorithm)
-	}
-	if c.Churn.Crashes < 0 {
-		return fmt.Errorf("core: negative churn crashes %d", c.Churn.Crashes)
 	}
 	if c.FrontierRounds < FrontierAuto || c.FrontierRounds > FrontierOff {
 		return fmt.Errorf("core: unknown frontier mode %d", int(c.FrontierRounds))

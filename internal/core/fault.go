@@ -212,9 +212,9 @@ func (w *World) dropRecv(e int32) bool {
 
 // CrashChurn schedules permanent mid-run crash failures: Crashes honest
 // nodes, drawn uniformly, stop participating at the starts of uniform
-// phases in [2, LastPhase]. This is the classic Config.Churn behavior
-// refactored into the fault-model layer; ChurnConfig routes through it,
-// and the two produce byte-identical schedules for equal parameters.
+// phases in [2, LastPhase]. This extends the paper, which handles
+// crashes only at the exchange; estimation must survive on the
+// remaining expander (experiment E15).
 type CrashChurn struct {
 	// Crashes is how many honest nodes crash-fail during the run.
 	Crashes int
@@ -363,14 +363,10 @@ func (m MessageLoss) Schedule(w *World, plan *FaultPlan) {
 	plan.SetLoss(m.Prob, seed)
 }
 
-// scheduleFaults rewinds the plan and lets every configured model
-// contribute: the legacy ChurnConfig first (as a CrashChurn), then
-// Config.Faults in order. Replays happen via applyFaults at phase starts.
+// scheduleFaults rewinds the plan and lets every Config.Faults model
+// contribute, in order. Replays happen via applyFaults at phase starts.
 func (w *World) scheduleFaults() {
 	w.plan.reset(w.N())
-	if c := w.Cfg.Churn; c.Crashes > 0 {
-		CrashChurn{Crashes: c.Crashes, Seed: c.Seed, LastPhase: c.LastPhase}.Schedule(w, &w.plan)
-	}
 	for _, fm := range w.Cfg.Faults {
 		if fm != nil {
 			fm.Schedule(w, &w.plan)

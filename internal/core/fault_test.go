@@ -8,27 +8,27 @@ import (
 )
 
 // legacyScheduleChurn is the seed engine's map-based churn scheduler,
-// kept verbatim as the reference the allocation-free FaultPlan path must
+// kept as the reference the allocation-free FaultPlan path must
 // reproduce draw-for-draw.
-func legacyScheduleChurn(cfg Config, byz []bool) map[int][]int {
-	if cfg.Churn.Crashes <= 0 {
+func legacyScheduleChurn(m CrashChurn, byz []bool) map[int][]int {
+	if m.Crashes <= 0 {
 		return nil
 	}
-	last := cfg.Churn.LastPhase
+	last := m.LastPhase
 	if last == 0 {
 		last = 6
 	}
 	if last < 2 {
 		last = 2
 	}
-	src := rng.New(cfg.Churn.Seed + 0xC4A5)
+	src := rng.New(m.Seed + 0xC4A5)
 	var honest []int
 	for v, b := range byz {
 		if !b {
 			honest = append(honest, v)
 		}
 	}
-	count := cfg.Churn.Crashes
+	count := m.Crashes
 	if count > len(honest) {
 		count = len(honest)
 	}
@@ -47,14 +47,14 @@ func TestCrashChurnMatchesLegacySchedule(t *testing.T) {
 	net := hgraph.MustNew(hgraph.Params{N: 300, D: 8, Seed: 31})
 	byz := hgraph.PlaceByzantine(300, 7, rng.New(32))
 	for _, crashes := range []int{1, 5, 30, 120, 299} { // 120+ hits the dense Perm branch
-		cfg := Config{Algorithm: AlgorithmBasic, Seed: 33, Workers: 1,
-			Churn: ChurnConfig{Crashes: crashes, Seed: 34, LastPhase: 9}}
+		m := CrashChurn{Crashes: crashes, Seed: 34, LastPhase: 9}
+		cfg := Config{Algorithm: AlgorithmBasic, Seed: 33, Workers: 1, Faults: []FaultModel{m}}
 		w := NewWorld()
 		if err := w.Reset(net, byz, nil, cfg); err != nil {
 			t.Fatal(err)
 		}
 		w.scheduleFaults()
-		want := legacyScheduleChurn(cfg, byz)
+		want := legacyScheduleChurn(m, byz)
 		idx := 0
 		for phase := 0; phase <= 9; phase++ {
 			for _, victim := range want[phase] {
@@ -83,8 +83,8 @@ func TestCrashChurnMatchesLegacySchedule(t *testing.T) {
 func TestFaultScheduleZeroAllocOnReuse(t *testing.T) {
 	net := hgraph.MustNew(hgraph.Params{N: 512, D: 8, Seed: 41})
 	cfg := Config{Algorithm: AlgorithmBasic, Seed: 42, Workers: 1,
-		Churn:  ChurnConfig{Crashes: 40, Seed: 43},
-		Faults: []FaultModel{JoinChurn{Count: 30, Seed: 44}, MessageLoss{Prob: 0.05}},
+		Faults: []FaultModel{CrashChurn{Crashes: 40, Seed: 43},
+			JoinChurn{Count: 30, Seed: 44}, MessageLoss{Prob: 0.05}},
 	}
 	w := NewWorld()
 	defer w.Close()
@@ -228,15 +228,14 @@ func TestCrashChurnVictimsStayDownUnderJoinChurn(t *testing.T) {
 	net := hgraph.MustNew(hgraph.Params{N: 64, D: 8, Seed: 47})
 	// First run crash churn alone to learn its victims.
 	ref, err := Run(net, nil, nil, Config{Algorithm: AlgorithmBasic, Seed: 48, MaxPhase: 12,
-		Churn: ChurnConfig{Crashes: 40, Seed: 49}})
+		Faults: []FaultModel{CrashChurn{Crashes: 40, Seed: 49}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Then compose with join churn over the same node population: 40+40
 	// draws from 64 nodes must collide.
 	res, err := Run(net, nil, nil, Config{Algorithm: AlgorithmBasic, Seed: 48, MaxPhase: 12,
-		Churn:  ChurnConfig{Crashes: 40, Seed: 49},
-		Faults: []FaultModel{JoinChurn{Count: 40, Seed: 50}}})
+		Faults: []FaultModel{CrashChurn{Crashes: 40, Seed: 49}, JoinChurn{Count: 40, Seed: 50}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +337,6 @@ func TestConfigValidatesFaultModels(t *testing.T) {
 		{Algorithm: AlgorithmBasic, Faults: []FaultModel{MessageLoss{Prob: -0.1}}},
 		{Algorithm: AlgorithmBasic, Faults: []FaultModel{JoinChurn{Count: -1}}},
 		{Algorithm: AlgorithmBasic, Faults: []FaultModel{CrashChurn{Crashes: -2}}},
-		{Algorithm: AlgorithmBasic, Churn: ChurnConfig{Crashes: -1}},
 	} {
 		if _, err := Run(net, nil, nil, cfg); err == nil {
 			t.Fatalf("config %+v validated", cfg)
@@ -349,22 +347,4 @@ func TestConfigValidatesFaultModels(t *testing.T) {
 		Faults: []FaultModel{nil, MessageLoss{Prob: 0.01}}}); err != nil {
 		t.Fatalf("nil fault entry rejected: %v", err)
 	}
-}
-
-// TestCrashChurnFaultMatchesChurnConfig: the same parameters through
-// Config.Churn and through an explicit CrashChurn fault model must yield
-// identical runs.
-func TestCrashChurnFaultMatchesChurnConfig(t *testing.T) {
-	net := hgraph.MustNew(hgraph.Params{N: 512, D: 8, Seed: 73})
-	a, err := Run(net, nil, nil, Config{Algorithm: AlgorithmByzantine, Seed: 74,
-		Churn: ChurnConfig{Crashes: 25, Seed: 75, LastPhase: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(net, nil, nil, Config{Algorithm: AlgorithmByzantine, Seed: 74,
-		Faults: []FaultModel{CrashChurn{Crashes: 25, Seed: 75, LastPhase: 8}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertResultsEqual(t, a, b)
 }

@@ -74,7 +74,7 @@ func TestFrontierDenseEquivalenceProperty(t *testing.T) {
 		}
 		switch src.Intn(3) {
 		case 1:
-			cfg.Churn = core.ChurnConfig{Crashes: 1 + src.Intn(4), Seed: netSeed + 11}
+			cfg.Faults = append(cfg.Faults, core.CrashChurn{Crashes: 1 + src.Intn(4), Seed: netSeed + 11})
 		case 2:
 			cfg.Faults = append(cfg.Faults, core.JoinChurn{Count: 1 + src.Intn(6), Seed: netSeed + 13})
 		}
@@ -91,8 +91,8 @@ func TestFrontierDenseEquivalenceProperty(t *testing.T) {
 			byz = pl.Place(net.H, byzCount, rng.New(netSeed+17))
 		}
 
-		label := fmt.Sprintf("trial=%d n=%d place=%s adv=%s alg=%s byz=%d loss=%g workers=%d churn=%d faults=%d",
-			trial, n, placement, advName, algorithm, byzCount, loss, workers, cfg.Churn.Crashes, len(cfg.Faults))
+		label := fmt.Sprintf("trial=%d n=%d place=%s adv=%s alg=%s byz=%d loss=%g workers=%d faults=%v",
+			trial, n, placement, advName, algorithm, byzCount, loss, workers, cfg.Faults)
 
 		runMode := func(mode core.FrontierMode) *core.Result {
 			adv, ok := adversary.ByName(advName)

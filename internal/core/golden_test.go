@@ -140,8 +140,10 @@ func runGoldenCaseMode(t testing.TB, net *hgraph.Network, gc goldenCase, workers
 		Algorithm:      gc.algorithm,
 		Seed:           goldenRunSeed,
 		Workers:        workers,
-		Churn:          core.ChurnConfig{Crashes: gc.churn, Seed: goldenRunSeed + 1},
 		FrontierRounds: mode,
+	}
+	if gc.churn > 0 {
+		cfg.Faults = append(cfg.Faults, core.CrashChurn{Crashes: gc.churn, Seed: goldenRunSeed + 1})
 	}
 	if gc.join > 0 {
 		cfg.Faults = append(cfg.Faults, core.JoinChurn{Count: gc.join, Seed: goldenRunSeed + 2})

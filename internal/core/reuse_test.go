@@ -38,7 +38,7 @@ func reuseJobs(t *testing.T) []reuseJob {
 			cfg: core.Config{Algorithm: core.AlgorithmBasic, Seed: 52}},
 		{name: "other-net/oracle/churn", net: net96, byz: byz96, adversary: "oracle",
 			cfg: core.Config{Algorithm: core.AlgorithmByzantine, Seed: 53,
-				Churn: core.ChurnConfig{Crashes: 4, Seed: 54}}},
+				Faults: []core.FaultModel{core.CrashChurn{Crashes: 4, Seed: 54}}}},
 		{name: "back-to-first-net/suppress", net: net128, byz: byz128, adversary: "suppress",
 			cfg: core.Config{Algorithm: core.AlgorithmByzantine, Seed: 55, MaxPhase: 12}},
 		{name: "phase-activity+injection", net: net96, byz: byz96, adversary: "inflate",

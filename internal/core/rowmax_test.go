@@ -169,8 +169,10 @@ func TestGoldenGridRunsRowMaxFallback(t *testing.T) {
 			Algorithm: gc.algorithm,
 			Seed:      goldenRunSeed,
 			Workers:   1,
-			Churn:     core.ChurnConfig{Crashes: gc.churn, Seed: goldenRunSeed + 1},
 			Observer:  obs,
+		}
+		if gc.churn > 0 {
+			cfg.Faults = append(cfg.Faults, core.CrashChurn{Crashes: gc.churn, Seed: goldenRunSeed + 1})
 		}
 		if gc.join > 0 {
 			cfg.Faults = append(cfg.Faults, core.JoinChurn{Count: gc.join, Seed: goldenRunSeed + 2})

@@ -136,8 +136,8 @@ type World struct {
 	injectionEntries map[int]int
 
 	// churnCrashes counts mid-run crash failures injected by the fault
-	// models (Config.Churn and Config.Faults); rejoins counts nodes a
-	// JoinChurn model brought back.
+	// models (Config.Faults); rejoins counts nodes a JoinChurn model
+	// brought back.
 	churnCrashes int
 	rejoins      int
 

@@ -108,6 +108,19 @@ func Markdown(title string, groups []Group) string {
 	return b.String()
 }
 
+// Renderer returns the renderer for an aggregate output format: "md"
+// (Markdown, under title) or "csv" (title unused). Commands resolve
+// their -format flag through it before running anything.
+func Renderer(format string) (func(title string, groups []Group) string, error) {
+	switch format {
+	case "md":
+		return Markdown, nil
+	case "csv":
+		return func(_ string, groups []Group) string { return CSV(groups) }, nil
+	}
+	return nil, fmt.Errorf("unknown format %q (want md|csv)", format)
+}
+
 // CSV renders the per-cell aggregates as CSV (header first).
 func CSV(groups []Group) string {
 	var b strings.Builder

@@ -45,14 +45,12 @@ type NetCache struct {
 	misses int64 // memory-tier misses (disk hits + regenerations)
 	disk   int64 // misses served by the disk tier
 	// genWorkers bounds the sim.Pool a regeneration fans out over
-	// (0: hgraph.New's default, the whole machine). Unless the caller
-	// pinned it with SetGenWorkers (genWorkersPinned), each Run applies
-	// its own per-job worker budget, so concurrent cache misses across
-	// job workers don't each spin a GOMAXPROCS-sized pool — and a cache
+	// (0: hgraph.New's default, the whole machine). Each Run applies its
+	// own per-job worker budget, so concurrent cache misses across job
+	// workers don't each spin a GOMAXPROCS-sized pool — and a cache
 	// shared across Runs follows the current Run's division.
-	genWorkers       int
-	genWorkersPinned bool
-	tele             cacheTelemetry
+	genWorkers int
+	tele       cacheTelemetry
 }
 
 // cacheTelemetry holds the cache's obs registry bindings, resolved once
@@ -296,18 +294,6 @@ func (c *NetCache) entry(p hgraph.Params) (e *cacheEntry, created bool) {
 	}
 	close(e.ready)
 	return e, true
-}
-
-// SetGenWorkers pins the parallelism of cache-miss regenerations
-// (0 pins hgraph.New's machine-wide default). A pinned value survives
-// Run, which otherwise applies its own per-job budget to the cache it
-// uses; pin only for caches whose generation parallelism must not
-// follow the scheduler's division.
-func (c *NetCache) SetGenWorkers(w int) {
-	c.mu.Lock()
-	c.genWorkers = w
-	c.genWorkersPinned = true
-	c.mu.Unlock()
 }
 
 // generate builds the network for p under the configured parallelism

@@ -140,12 +140,12 @@ func (j Job) Config(workers int) core.Config {
 				LastPhase: j.ChurnLastPhase,
 			})
 		}
-	} else {
-		cfg.Churn = core.ChurnConfig{
+	} else if j.ChurnCrashes != 0 {
+		cfg.Faults = append(cfg.Faults, core.CrashChurn{
 			Crashes:   j.ChurnCrashes,
 			Seed:      j.ChurnSeed,
 			LastPhase: j.ChurnLastPhase,
-		}
+		})
 	}
 	if j.LossProb > 0 {
 		cfg.Faults = append(cfg.Faults, core.MessageLoss{Prob: j.LossProb})

@@ -142,11 +142,9 @@ func (o Options) withDefaults() Options {
 	}
 	// Regenerations on cache misses respect the same machine division as
 	// the runs themselves: RunWorkers of parallelism per job worker, not
-	// a full-machine pool per miss. A pinned SetGenWorkers value wins.
+	// a full-machine pool per miss.
 	o.Cache.mu.Lock()
-	if !o.Cache.genWorkersPinned {
-		o.Cache.genWorkers = o.RunWorkers
-	}
+	o.Cache.genWorkers = o.RunWorkers
 	o.Cache.mu.Unlock()
 	return o
 }

@@ -393,3 +393,34 @@ func TestAggregateGroupsInExpansionOrder(t *testing.T) {
 		t.Fatal("csv row count mismatch")
 	}
 }
+
+func TestRendererFormats(t *testing.T) {
+	jobs, _ := testSpec().Jobs()
+	outs, err := Run(jobs, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := Aggregate(outs)
+	for _, tc := range []struct {
+		format string
+		want   string // "" expects an error naming the format
+	}{
+		{"md", Markdown("t", groups)},
+		{"csv", CSV(groups)},
+		{"xml", ""},
+	} {
+		render, err := Renderer(tc.format)
+		if tc.want == "" {
+			if err == nil || !strings.Contains(err.Error(), `"xml"`) {
+				t.Fatalf("Renderer(%q) error = %v, want one naming the format", tc.format, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("Renderer(%q): %v", tc.format, err)
+		}
+		if got := render("t", groups); got != tc.want {
+			t.Fatalf("Renderer(%q) rendered:\n%s\nwant:\n%s", tc.format, got, tc.want)
+		}
+	}
+}

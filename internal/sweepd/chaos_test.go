@@ -76,7 +76,6 @@ func chaosWorker(url, name string, seed uint64, onOutcome ...func(sweep.Outcome)
 		Retries:     4,
 		Backoff:     5 * time.Millisecond,
 		Poll:        20 * time.Millisecond,
-		CallTimeout: 10 * time.Second,
 		MaxOffline:  -1, // the coordinator is alive (or restarting): poll through
 	}
 	if len(onOutcome) > 0 {
@@ -396,7 +395,7 @@ func TestChaosStragglerStealByteIdentical(t *testing.T) {
 		Name: "dist", Store: store, Shards: 4,
 		// A long TTL forces the point: the straggler's shard can only
 		// finish through a split, never through lease expiry.
-		LeaseTTL: time.Minute, Steal: true, StealAfter: 300 * time.Millisecond,
+		LeaseTTL: time.Minute, StealAfter: 300 * time.Millisecond,
 		Telemetry: obs.NewRegistry(),
 	})
 	if err != nil {
@@ -473,7 +472,7 @@ func TestChaosCoordinatorCrashAfterSplit(t *testing.T) {
 		// that never learned it owns it. Only expiry recovers that.
 		coord, err := NewCoordinator(jobs, Config{
 			Name: "dist", Store: store, Shards: 4, Journal: j,
-			LeaseTTL: 5 * time.Second, Steal: true, StealAfter: 300 * time.Millisecond,
+			LeaseTTL: 5 * time.Second, StealAfter: 300 * time.Millisecond,
 			Telemetry: obs.NewRegistry(),
 		})
 		if err != nil {

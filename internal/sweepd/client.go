@@ -42,7 +42,7 @@ import (
 // then exit resumably if the coordinator stays gone past MaxOffline.
 var ErrUnreachable = errors.New("sweepd: coordinator unreachable")
 
-// Client defaults; WorkerOptions overrides ride through newClient.
+// Per-endpoint deadlines and circuit-breaker settings.
 const (
 	// DefaultCallTimeout bounds one attempt of a control call (claim,
 	// heartbeat, complete, status).
@@ -97,13 +97,11 @@ func (b *breaker) failure(now time.Time) bool {
 }
 
 type client struct {
-	base          string
-	hc            *http.Client
-	retries       int
-	backoff       time.Duration
-	callTimeout   time.Duration
-	reportTimeout time.Duration
-	brk           breaker
+	base    string
+	hc      *http.Client
+	retries int
+	backoff time.Duration
+	brk     breaker
 
 	retried     *obs.Counter // "sweepd.client.retries"
 	circuitOpen *obs.Counter // "sweepd.client.circuit_open"
@@ -114,7 +112,7 @@ type client struct {
 }
 
 // newClient builds the call layer; zero-valued knobs get defaults.
-func newClient(base string, hc *http.Client, retries int, backoff, callTimeout, reportTimeout time.Duration, tel *obs.Registry) *client {
+func newClient(base string, hc *http.Client, retries int, backoff time.Duration, tel *obs.Registry) *client {
 	if hc == nil {
 		// Deadlines are per attempt via context; a Timeout here would
 		// cap /report and /claim with one blanket number again.
@@ -126,26 +124,18 @@ func newClient(base string, hc *http.Client, retries int, backoff, callTimeout, 
 	if backoff <= 0 {
 		backoff = 200 * time.Millisecond
 	}
-	if callTimeout <= 0 {
-		callTimeout = DefaultCallTimeout
-	}
-	if reportTimeout <= 0 {
-		reportTimeout = DefaultReportTimeout
-	}
 	if tel == nil {
 		tel = obs.Default
 	}
 	return &client{
-		base:          base,
-		hc:            hc,
-		retries:       retries,
-		backoff:       backoff,
-		callTimeout:   callTimeout,
-		reportTimeout: reportTimeout,
-		brk:           breaker{threshold: breakAfter, cooldown: breakCooldown},
-		retried:       tel.Counter("sweepd.client.retries"),
-		circuitOpen:   tel.Counter("sweepd.client.circuit_open"),
-		unreachable:   tel.Counter("sweepd.client.unreachable"),
+		base:        base,
+		hc:          hc,
+		retries:     retries,
+		backoff:     backoff,
+		brk:         breaker{threshold: breakAfter, cooldown: breakCooldown},
+		retried:     tel.Counter("sweepd.client.retries"),
+		circuitOpen: tel.Counter("sweepd.client.circuit_open"),
+		unreachable: tel.Counter("sweepd.client.unreachable"),
 	}
 }
 
@@ -175,9 +165,9 @@ func (c *client) jitter(d time.Duration) time.Duration {
 // timeoutFor picks the per-attempt deadline for an endpoint.
 func (c *client) timeoutFor(path string) time.Duration {
 	if path == "/report" {
-		return c.reportTimeout
+		return DefaultReportTimeout
 	}
-	return c.callTimeout
+	return DefaultCallTimeout
 }
 
 // post sends in as JSON to path and decodes the response into out,

@@ -27,7 +27,7 @@ func TestClientRetriesGarbledResponse(t *testing.T) {
 		w.Write([]byte(`{"ok": true}`))
 	}))
 	defer srv.Close()
-	c := newClient(srv.URL, srv.Client(), 2, time.Millisecond, 0, 0, nil)
+	c := newClient(srv.URL, srv.Client(), 2, time.Millisecond, nil)
 	var out OKResponse
 	if err := c.post(context.Background(), "/claim", ClaimRequest{}, &out); err != nil {
 		t.Fatalf("post with one garbled body = %v, want retried success", err)
@@ -44,7 +44,7 @@ func TestClientPermanent4xxNotRetried(t *testing.T) {
 		http.Error(w, "no such shard", http.StatusBadRequest)
 	}))
 	defer srv.Close()
-	c := newClient(srv.URL, srv.Client(), 3, time.Millisecond, 0, 0, nil)
+	c := newClient(srv.URL, srv.Client(), 3, time.Millisecond, nil)
 	err := c.post(context.Background(), "/heartbeat", HeartbeatRequest{}, &OKResponse{})
 	if err == nil || isUnreachable(err) || isLeaseLost(err) {
 		t.Fatalf("4xx = %v, want a permanent protocol error", err)
@@ -61,7 +61,7 @@ func TestClientUnreachableAndCircuit(t *testing.T) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
 	defer srv.Close()
-	c := newClient(srv.URL, srv.Client(), 0, time.Millisecond, 0, 0, nil)
+	c := newClient(srv.URL, srv.Client(), 0, time.Millisecond, nil)
 
 	// breakAfter exhausted calls trip the breaker...
 	for i := 0; i < breakAfter; i++ {
@@ -91,7 +91,7 @@ func TestClientCircuitHalfOpenRecovers(t *testing.T) {
 		w.Write([]byte(`{"ok": true}`))
 	}))
 	defer srv.Close()
-	c := newClient(srv.URL, srv.Client(), 0, time.Millisecond, 0, 0, nil)
+	c := newClient(srv.URL, srv.Client(), 0, time.Millisecond, nil)
 	c.brk.cooldown = 10 * time.Millisecond
 	for i := 0; i < breakAfter; i++ {
 		_ = c.post(context.Background(), "/claim", ClaimRequest{}, &OKResponse{})

@@ -35,6 +35,15 @@ const DefaultShards = 8
 // DefaultLeaseTTL is the lease horizon when Config leaves it zero.
 const DefaultLeaseTTL = 15 * time.Second
 
+// DefaultStealMin is the minimum unreported remainder (in jobs) a
+// shard must hold to be a steal victim. A remainder of 1 is never
+// split: there is no suffix to cut that leaves the victim any retained
+// work.
+const DefaultStealMin = 2
+
+// retryMS is the poll hint served when every remaining shard is leased.
+const retryMS = 500
+
 // Config parameterizes a Coordinator.
 type Config struct {
 	// Name labels the sweep (the Monitor's spec name).
@@ -47,9 +56,6 @@ type Config struct {
 	// LeaseTTL is how long a silent worker keeps a shard before it is
 	// reassigned (0: DefaultLeaseTTL).
 	LeaseTTL time.Duration
-	// RetryMS is the poll hint served when every remaining shard is
-	// leased (0: 500).
-	RetryMS int64
 	// Monitor folds fleet-wide progress (nil: a fresh one over the job
 	// list). Its Status is embedded in /status.
 	Monitor *sweep.Monitor
@@ -65,18 +71,9 @@ type Config struct {
 	// Config.Shards so a restart re-partitions the remaining keyspace
 	// with the original geometry (journaled steal cuts replay on top).
 	Journal *Journal
-
-	// Steal enables work stealing: an idle claimer may trigger a split
-	// of a straggling shard's unreported suffix instead of polling
-	// until the straggler's lease expires. Off (the default) preserves
-	// the lease-expiry-only coordinator bit-for-bit.
-	Steal bool
-	// StealMin is the minimum unreported remainder (jobs) a shard must
-	// hold to be split (0: DefaultStealMin). A remainder of 1 never
-	// splits — the victim must retain work.
-	StealMin int
 	// StealAfter is how long a shard must go without progress before it
-	// counts as straggling (0: LeaseTTL/2).
+	// counts as straggling and an idle claimer may split off its
+	// unreported suffix (0: LeaseTTL/2).
 	StealAfter time.Duration
 
 	// clock overrides time.Now for lease-expiry tests.
@@ -106,14 +103,12 @@ type shardMeta struct {
 // Coordinator serves shards of one expanded job list and folds the
 // fleet's results back into one store and one Outcome list.
 type Coordinator struct {
-	cfg        Config
-	stealMin   int
-	stealAfter time.Duration
-	jobs       []sweep.Job
-	keyIdx     map[string][]int // content key -> job indices (dup keys: all)
-	leases     *leaseTable
-	mon        *sweep.Monitor
-	start      time.Time
+	cfg    Config
+	jobs   []sweep.Job
+	keyIdx map[string][]int // content key -> job indices (dup keys: all)
+	leases *leaseTable
+	mon    *sweep.Monitor
+	start  time.Time
 
 	mu        sync.Mutex
 	shards    [][]int // shard -> job indices (suffixes move on split)
@@ -170,12 +165,6 @@ func NewCoordinator(jobs []sweep.Job, cfg Config) (*Coordinator, error) {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
 	}
-	if cfg.RetryMS <= 0 {
-		cfg.RetryMS = 500
-	}
-	if cfg.StealMin <= 0 {
-		cfg.StealMin = DefaultStealMin
-	}
 	if cfg.StealAfter <= 0 {
 		cfg.StealAfter = cfg.LeaseTTL / 2
 	}
@@ -187,18 +176,16 @@ func NewCoordinator(jobs []sweep.Job, cfg Config) (*Coordinator, error) {
 	}
 
 	c := &Coordinator{
-		cfg:        cfg,
-		stealMin:   cfg.StealMin,
-		stealAfter: cfg.StealAfter,
-		jobs:       jobs,
-		keyIdx:     make(map[string][]int, len(jobs)),
-		mon:        cfg.Monitor,
-		start:      time.Now(),
-		outs:       make([]sweep.Outcome, len(jobs)),
-		accounted:  make([]bool, len(jobs)),
-		jobShard:   make([]int, len(jobs)),
-		stolen:     make([]bool, len(jobs)),
-		doneCh:     make(chan struct{}),
+		cfg:       cfg,
+		jobs:      jobs,
+		keyIdx:    make(map[string][]int, len(jobs)),
+		mon:       cfg.Monitor,
+		start:     time.Now(),
+		outs:      make([]sweep.Outcome, len(jobs)),
+		accounted: make([]bool, len(jobs)),
+		jobShard:  make([]int, len(jobs)),
+		stolen:    make([]bool, len(jobs)),
+		doneCh:    make(chan struct{}),
 
 		served:         cfg.Telemetry.Counter("sweepd.shards.served"),
 		reassigned:     cfg.Telemetry.Counter("sweepd.shards.reassigned"),
@@ -266,17 +253,11 @@ func NewCoordinator(jobs []sweep.Job, cfg Config) (*Coordinator, error) {
 	}
 	c.leases = newLeaseTable(len(c.shards), cfg.LeaseTTL, cfg.clock, epoch)
 
-	startFields := map[string]any{
+	_ = cfg.RunLog.Event("sweep_start", map[string]any{
 		"jobs": len(jobs), "pending": len(pending),
 		"resumed": len(skipped), "shards": len(c.shards),
 		"epoch": epoch,
-	}
-	if cfg.Steal {
-		// Only stamped when stealing is on, so an off-mode run-log stays
-		// byte-identical to the pre-steal coordinator's.
-		startFields["steal"] = true
-	}
-	_ = cfg.RunLog.Event("sweep_start", startFields)
+	})
 	for pos, i := range skipped {
 		_ = cfg.RunLog.Event("job_skip", map[string]any{
 			"key": jobs[i].Key(), "label": jobs[i].Label(),
@@ -425,13 +406,17 @@ func (c *Coordinator) advanceLocked(shard int, now time.Time) {
 // trySteal is the steal policy, consulted when an idle worker's claim
 // found nothing claimable. It picks the straggler holding the most
 // unreported work — a live-leased shard whose remainder is at least
-// StealMin, that has not advanced for StealAfter, and that the rest of
-// the fleet has advanced past — journals the cut (write-ahead: a crash
-// between the append and the in-memory split recovers post-split), then
-// cuts the victim's unreported suffix into a fresh pending shard the
-// caller's next Claim will win. The victim keeps its lease and its
-// retained prefix; only its reports for stolen jobs are refused, and
-// only per-job. Returns whether a split happened.
+// DefaultStealMin, that has not advanced for StealAfter, and that the
+// rest of the fleet has advanced past — journals the cut (write-ahead: a
+// crash between the append and the in-memory split recovers
+// post-split), then cuts the victim's unreported suffix into a fresh
+// pending shard the caller's next Claim will win. The victim keeps its
+// lease and its retained prefix; only its reports for stolen jobs are
+// refused, and only per-job. Returns whether a split happened.
+//
+// The policy is deliberately conservative: a wrong steal costs only
+// duplicate execution (dedup-by-Job.Key at append time absorbs it), but
+// an eager one wastes CPU on a worker that was about to report.
 func (c *Coordinator) trySteal(thief string) bool {
 	live := c.leases.Leased()
 	if len(live) == 0 {
@@ -455,11 +440,11 @@ func (c *Coordinator) trySteal(thief string) bool {
 		if remaining > 0 {
 			considered = true
 		}
-		if remaining < c.stealMin || remaining < 2 {
+		if remaining < DefaultStealMin {
 			continue
 		}
 		m := &c.meta[l.shard]
-		if now.Sub(m.lastAdvance) < c.stealAfter {
+		if now.Sub(m.lastAdvance) < c.cfg.StealAfter {
 			continue
 		}
 		// Fleet-ahead check: somebody else advanced after this shard
@@ -554,10 +539,10 @@ func (c *Coordinator) claim(worker string) ClaimResponse {
 			// straggler window: try to split a stalled shard's suffix
 			// rather than making the claimer wait out a healthy-looking
 			// lease. A successful split loops back into Claim.
-			if c.cfg.Steal && c.trySteal(worker) {
+			if c.trySteal(worker) {
 				continue
 			}
-			return ClaimResponse{RetryMS: c.cfg.RetryMS}
+			return ClaimResponse{RetryMS: retryMS}
 		}
 		c.served.Inc()
 		// A fresh claim resets the shard's progress view: done/total are
@@ -771,13 +756,12 @@ type ShardTally struct {
 	// Split counts straggler shards whose unreported suffix was cut
 	// into a new shard; JobsStolen the jobs those cuts moved;
 	// StealsRejected the steal evaluations that found unfinished work
-	// but no eligible victim (all zero with stealing off).
+	// but no eligible victim.
 	Split          int64 `json:"split,omitempty"`
 	JobsStolen     int64 `json:"jobs_stolen,omitempty"`
 	StealsRejected int64 `json:"steals_rejected,omitempty"`
 	// Detail is the per-shard progress view: size, accounted remainder,
-	// the worker-reported done/total, and last-report age — staleness
-	// is observable here even with stealing disabled.
+	// the worker-reported done/total, and last-report age.
 	Detail []ShardStatus `json:"detail,omitempty"`
 }
 

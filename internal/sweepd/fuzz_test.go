@@ -49,11 +49,11 @@ func fuzzCoordinator() (*Coordinator, error) {
 			fuzzOnce.err = err
 			return
 		}
-		// Stealing on with a hair-trigger staleness threshold: fuzzed
-		// claims against leased-out shards walk the trySteal path too.
+		// A hair-trigger staleness threshold: fuzzed claims against
+		// leased-out shards walk the trySteal path too.
 		fuzzOnce.handler, fuzzOnce.err = NewCoordinator(jobs, Config{
 			Name: "fuzz", Store: store, Shards: 2, Telemetry: obs.NewRegistry(),
-			Steal: true, StealAfter: time.Millisecond,
+			StealAfter: time.Millisecond,
 		})
 	})
 	return fuzzOnce.handler, fuzzOnce.err

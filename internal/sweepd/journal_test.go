@@ -157,7 +157,7 @@ func TestCoordinatorRestartFencesStaleToken(t *testing.T) {
 		t.Fatalf("first boot epoch = %d, want 1", j1.Epoch)
 	}
 	srv1 := httptest.NewServer(c1.Handler())
-	cl1 := newClient(srv1.URL, srv1.Client(), 1, time.Millisecond, 0, 0, nil)
+	cl1 := newClient(srv1.URL, srv1.Client(), 1, time.Millisecond, nil)
 	var resp ClaimResponse
 	if err := cl1.post(ctx, "/claim", ClaimRequest{Worker: "w1"}, &resp); err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestCoordinatorRestartFencesStaleToken(t *testing.T) {
 	}
 	srv2 := httptest.NewServer(c2.Handler())
 	defer srv2.Close()
-	cl2 := newClient(srv2.URL, srv2.Client(), 1, time.Millisecond, 0, 0, nil)
+	cl2 := newClient(srv2.URL, srv2.Client(), 1, time.Millisecond, nil)
 	err := cl2.post(ctx, "/heartbeat", HeartbeatRequest{Worker: "w1", Shard: shard, Lease: stale}, &OKResponse{})
 	if !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("stale heartbeat after restart = %v, want ErrLeaseLost", err)
@@ -232,7 +232,7 @@ func TestCoordinatorRestartRecoversJournaledSplit(t *testing.T) {
 	clk := newFakeClock()
 	c1, err := NewCoordinator(jobs, Config{
 		Name: "dist", Store: store1, Shards: 3, Journal: j1,
-		LeaseTTL: time.Minute, Steal: true, StealAfter: 10 * time.Second,
+		LeaseTTL: time.Minute, StealAfter: 10 * time.Second,
 		clock: clk.Now,
 	})
 	if err != nil {
@@ -270,10 +270,10 @@ func TestCoordinatorRestartRecoversJournaledSplit(t *testing.T) {
 	}
 	// Crash: no completes, no store close, both leases left dangling.
 
-	// Successor: stealing off — the replay is unconditional, recovery
-	// must not depend on the feature staying enabled. The journal's
-	// recorded base geometry (3) overrides the changed request, and the
-	// replayed cut makes it 4 shards over the 6 remaining jobs.
+	// Successor: a default config asking for a different shard count.
+	// The journal's recorded base geometry (3) overrides the changed
+	// request, and the replayed cut makes it 4 shards over the 6
+	// remaining jobs.
 	store2, err := sweep.OpenStore(filepath.Join(dir, "results.jsonl"))
 	if err != nil {
 		t.Fatal(err)

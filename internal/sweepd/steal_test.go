@@ -47,8 +47,8 @@ func TestStealSplitsStragglerShard(t *testing.T) {
 	defer store.Close()
 	coord, err := NewCoordinator(jobs, Config{
 		Name: "dist", Store: store, Shards: 2, LeaseTTL: time.Minute,
-		Steal: true, StealAfter: 10 * time.Second,
-		Telemetry: reg, RunLog: obs.NewRunLog(&logBuf), clock: clk.Now,
+		StealAfter: 10 * time.Second, Telemetry: reg,
+		RunLog: obs.NewRunLog(&logBuf), clock: clk.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,8 +227,7 @@ func TestStealRemainderOneRejected(t *testing.T) {
 	defer store.Close()
 	coord, err := NewCoordinator(jobs, Config{
 		Name: "tiny", Store: store, Shards: 2, LeaseTTL: time.Minute,
-		Steal: true, StealAfter: 10 * time.Second,
-		Telemetry: reg, clock: clk.Now,
+		StealAfter: 10 * time.Second, Telemetry: reg, clock: clk.Now,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ type WorkerOptions struct {
 	Opts sweep.Options
 	// Client is the HTTP client (nil: a default client with no blanket
 	// Timeout — deadlines are per request, per endpoint; see
-	// CallTimeout and ReportTimeout).
+	// DefaultCallTimeout and DefaultReportTimeout).
 	Client *http.Client
 	// Retries is how many times a transient coordinator failure is
 	// retried per call (0: 5).
@@ -49,13 +49,6 @@ type WorkerOptions struct {
 	// Poll is the idle claim interval when the server sends no hint
 	// (0: 500 ms).
 	Poll time.Duration
-	// CallTimeout bounds one attempt of a control call — claim,
-	// heartbeat, complete (0: DefaultCallTimeout).
-	CallTimeout time.Duration
-	// ReportTimeout bounds one attempt of a /report, which may stream a
-	// large record batch (0: DefaultReportTimeout). The old blanket
-	// client timeout could kill a legitimate slow report.
-	ReportTimeout time.Duration
 	// MaxOffline is how long the worker keeps polling an unreachable
 	// coordinator before draining and exiting resumably (0: 90 s;
 	// negative: forever).
@@ -91,7 +84,7 @@ func NewWorker(o WorkerOptions) *Worker {
 		o.MaxOffline = 90 * time.Second
 	}
 	return &Worker{o: o, c: newClient(o.Coordinator, o.Client,
-		o.Retries, o.Backoff, o.CallTimeout, o.ReportTimeout, o.Opts.Telemetry)}
+		o.Retries, o.Backoff, o.Opts.Telemetry)}
 }
 
 // Name returns the worker's lease identity.
