@@ -184,6 +184,10 @@ func runWorker(ctx context.Context, cfg workerConfig) int {
 	return 0
 }
 
+// claimRetryHint is the wait the coordinator hands a worker whose claim
+// finds every remaining shard leased (internal/sweepd's retryMS).
+const claimRetryHint = 500 * time.Millisecond
+
 type coordinatorConfig struct {
 	specPath, sizes, degrees, deltas, places, advs, algs, epsilons string
 	churns, faults, joins, losses                                  string
@@ -303,6 +307,17 @@ func runCoordinator(ctx context.Context, cfg coordinatorConfig) int {
 	aborted := false
 	select {
 	case <-coord.Done():
+		// A worker told to retry sleeps out the claim hint before it
+		// asks again. Keep answering "done" for two hints before the
+		// deferred Close, so no worker wakes to a closed port and waits
+		// out its -max-offline budget instead of exiting.
+		lingerUntil := time.Now().Add(2 * claimRetryHint)
+		defer func() {
+			select {
+			case <-time.After(time.Until(lingerUntil)):
+			case <-ctx.Done():
+			}
+		}()
 	case <-ctx.Done():
 		coord.Abort()
 		aborted = true

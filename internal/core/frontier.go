@@ -26,12 +26,10 @@ package core
 // bookkeeping the dense loop would have produced for those nodes at O(1)
 // per round — not O(skipped) — while staying byte-identical in Result:
 //
-//   - held-log entries for skipped rounds are never written; readers go
-//     through the clamped logAt accessor, which resolves a round above
-//     the node's logUpTo watermark to the last written entry — exactly
-//     the (unchanged) value an eager write would have stored. Crashed
-//     nodes get no watermark advance, matching the dense loop's refusal
-//     to write their log;
+//   - the held log takes no per-node writes: after a round's dispatch
+//     the back buffer holds every node's value after that round (a
+//     skipped node's stale entry equals its held value, see below, and
+//     a crashed node holds 0), so the round's log row is one copy of it;
 //   - flooding-cost counters are maintained as an incremental aggregate:
 //     when a node goes quiet its degree × messageBits(held) contribution
 //     is added, when it is re-marked the same contribution is removed,
@@ -247,45 +245,6 @@ func (w *World) buildFrontier(full bool) {
 				f.setQuiet(v, hOff[v+1]-hOff[v], next[v])
 			}
 		}
-	}
-}
-
-// advanceLogWatermark maintains the held-log invariant serially after
-// round t's dispatch (before the exchange Swap): heldLog[v][0..logUpTo[v]]
-// is contiguously written, and v's held value from round logUpTo[v]
-// through the last completed round equals heldLog[v][logUpTo[v]] — which
-// is what lets logAt clamp reads above the watermark.
-//
-// The watermark therefore only moves when a node's value CHANGED this
-// round: the rounds it slept through (all holding the old constant) are
-// backfilled in one burst and the watermark jumps to t, whose entry
-// stepNode just wrote. Unchanged stepped nodes need nothing — their clamp
-// already resolves to the value they rewrote. Each slept round is
-// backfilled at most once per subphase, and quiet nodes that never change
-// again are never backfilled at all (the clamp serves their readers), so
-// the total log maintenance is O(changes + crossed holes), not
-// O(n · rounds). Crashed nodes are excluded: the dense loop never writes
-// their log, and logAt keeps resolving them to their round-0 zero.
-func (w *World) advanceLogWatermark(t int, full bool) {
-	cur := w.held.Cur()
-	next := w.held.Next()
-	bump := func(v int32) {
-		if w.crashed[v] || next[v] == cur[v] {
-			return
-		}
-		for r := w.logUpTo[v] + 1; r < int32(t); r++ {
-			w.heldLog[v][r] = cur[v]
-		}
-		w.logUpTo[v] = int32(t)
-	}
-	if full {
-		for v := 0; v < w.N(); v++ {
-			bump(int32(v))
-		}
-		return
-	}
-	for _, v := range w.fr.list {
-		bump(v)
 	}
 }
 

@@ -9,7 +9,11 @@ package core_test
 // probabilities, and worker counts.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"reflect"
 	"testing"
 
@@ -169,6 +173,74 @@ func TestFrontierOccupancyRecording(t *testing.T) {
 	for i, f := range dense.FrontierOccupancy {
 		if f != 1 {
 			t.Fatalf("dense loop phase %d occupancy %v, want 1", i+1, f)
+		}
+	}
+}
+
+// heldLogRecorder wraps an adversary and hashes HeldLogAt(v, r) for every
+// node v and every r in -1..MaxPhase+1 at each subphase start and at the
+// first Send of each round: the whole held-log surface adversaries read,
+// including the 0 outside [0, MaxPhase] and the clamp above the last
+// completed round.
+type heldLogRecorder struct {
+	core.Adversary
+	round int
+	buf   []byte
+	h     hash.Hash
+}
+
+func (r *heldLogRecorder) SubphaseStart(w *core.World) {
+	r.round = 0
+	r.record(w)
+	r.Adversary.SubphaseStart(w)
+}
+
+func (r *heldLogRecorder) Send(w *core.World, b, v, t int) int64 {
+	if t != r.round {
+		r.round = t
+		r.record(w)
+	}
+	return r.Adversary.Send(w, b, v, t)
+}
+
+func (r *heldLogRecorder) record(w *core.World) {
+	r.buf = r.buf[:0]
+	for v := 0; v < w.N(); v++ {
+		for rr := -1; rr <= w.Cfg.MaxPhase+1; rr++ {
+			r.buf = binary.LittleEndian.AppendUint64(r.buf, uint64(w.HeldLogAt(v, rr)))
+		}
+	}
+	r.h.Write(r.buf)
+}
+
+// TestHeldLogAtContract pins every HeldLogAt answer an adversary can see
+// under crash churn, message loss and chaos attestation. Both round
+// engines must produce the same hash, and it must equal the one pinned
+// from the engine that kept a node-major log behind a per-node watermark.
+func TestHeldLogAtContract(t *testing.T) {
+	const want = "5e4cfd44e33a57f2f1bd2e41173f721b50effc5411c4c7d12bbe40bb332e8292"
+	net := hgraph.MustNew(hgraph.Params{N: goldenN, D: goldenD, Seed: goldenNetSeed})
+	byz := hgraph.PlaceByzantine(goldenN, 3, rng.New(goldenByzSeed))
+	for _, mode := range []core.FrontierMode{core.FrontierOn, core.FrontierOff} {
+		rec := &heldLogRecorder{Adversary: &adversary.Chaos{Seed: goldenChaosSeed}, h: sha256.New()}
+		cfg := core.Config{
+			Algorithm:      core.AlgorithmByzantine,
+			Seed:           goldenRunSeed,
+			FrontierRounds: mode,
+			Faults: []core.FaultModel{
+				core.CrashChurn{Crashes: 4, Seed: goldenRunSeed + 1},
+				core.MessageLoss{Prob: 0.1},
+			},
+		}
+		res, err := core.Run(net, byz, rec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ChurnCrashes == 0 || res.DroppedMessages == 0 {
+			t.Fatalf("mode %v: %d churn crashes, %d dropped messages: the faults never fired", mode, res.ChurnCrashes, res.DroppedMessages)
+		}
+		if got := hex.EncodeToString(rec.h.Sum(nil)); got != want {
+			t.Errorf("mode %v: HeldLogAt hash\n got %s\nwant %s", mode, got, want)
 		}
 	}
 }

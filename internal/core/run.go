@@ -131,11 +131,11 @@ func (w *World) runSubphase(i, j int) {
 		}
 		w.color[v] = c
 		cur[v] = c
-		w.heldLog[v][0] = c
-		w.logUpTo[v] = 0
 		w.maxEarly[v] = 0
 		w.kFinal[v] = 0
 	}
+	copy(w.heldLog[0], cur)
+	w.logTop = 0
 	w.fr.resetQuiet()
 	w.adv.SubphaseStart(w)
 
@@ -176,7 +176,10 @@ func (w *World) runSubphase(i, j int) {
 			// Flooding cost of every sleeping node, in one fold.
 			w.counters.AddAggregate(w.fr.quietMsgs, w.fr.quietBits)
 		}
-		w.advanceLogWatermark(t, full)
+		// The back buffer holds every node's value after round t, the
+		// skipped ones included (see frontier.go): log it as row t.
+		copy(w.heldLog[t], w.held.Next())
+		w.logTop = t
 		if w.Cfg.RecordFrontierOccupancy {
 			if full {
 				w.occStepped += int64(n)
@@ -332,7 +335,6 @@ func (w *World) stepNode(v, t, i int, verify bool, acc *msgTally) {
 			}
 		}
 		next[v] = best
-		w.heldLog[v][t] = best
 		w.hasCand[v] = false
 		return
 	}
@@ -395,7 +397,6 @@ func (w *World) stepNode(v, t, i int, verify bool, acc *msgTally) {
 	}
 
 	next[v] = newHeld
-	w.heldLog[v][t] = newHeld
 	if t < i {
 		if kt > w.maxEarly[v] {
 			w.maxEarly[v] = kt

@@ -35,16 +35,15 @@ func newVerifyFixture(t *testing.T, byzIdx []int, adv Adversary) *verifyFixture 
 }
 
 // holdFrom marks that node x held color c from round r0 onward (monotone
-// held logs, as the engine maintains them). The watermark is advanced to
-// the full log so attestation reads the populated entries directly
-// instead of clamping to the (unwritten) round 0.
+// held logs, as the engine maintains them), with every log row readable.
+// The engine writes the log only between rounds, so the edit opens a new
+// round: attestation outcomes stored in the previous one no longer apply.
 func (f *verifyFixture) holdFrom(x int, c int64, r0 int) {
-	for r := r0; r < len(f.w.heldLog[x]); r++ {
-		if f.w.heldLog[x][r] < c {
-			f.w.heldLog[x][r] = c
-		}
+	for r := r0; r < len(f.w.heldLog); r++ {
+		f.w.heldLog[r][x] = max(f.w.heldLog[r][x], c)
 	}
-	f.w.logUpTo[x] = int32(len(f.w.heldLog[x]) - 1)
+	f.w.logTop = len(f.w.heldLog) - 1
+	f.w.globalRound++
 }
 
 // pathFrom returns some H-path v -> x1 -> x2 starting at a neighbor of v.
@@ -228,5 +227,104 @@ func TestVerifySimplePathPreventsBouncing(t *testing.T) {
 	}
 	if w.verifyColor(victim, int32(b1), 1<<30, 3, &msgTally{}) {
 		t.Fatal("two Byzantine nodes simulated a 3-chain via path revisits")
+	}
+}
+
+// Two receivers of one honest sender in one round get the same answer
+// and the same charge, both matching a fresh search, for a chain that
+// passes and for one that fails after several queries. The second is
+// served from the sender's stored search: a log edit between them (which
+// the engine never makes inside a round) flips what a fresh search would
+// find, and does not reach it.
+func TestVerifyReusesHonestSenderSearch(t *testing.T) {
+	const c = int64(40)
+	for _, tc := range []struct {
+		name string
+		gen  int // the round path[3] starts holding c: 0 passes, 1 fails
+		want bool
+	}{{"passing", 0, true}, {"failing", 1, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newVerifyFixture(t, nil, nil)
+			path := pathFrom(f.net, 0, 3)
+			if len(path) < 4 {
+				t.Skip("could not build a 3-hop path")
+			}
+			s := path[1]
+			other := -1
+			for _, nb := range f.net.H.UniqueNeighbors(int(s)) {
+				if nb != 0 {
+					other = int(nb)
+					break
+				}
+			}
+			f.holdFrom(int(path[3]), c, tc.gen)
+			f.holdFrom(int(path[2]), c, 1)
+			f.holdFrom(int(path[1]), c, 2)
+			// A fresh search for round 3: chain budget min(3, k) - 1.
+			wantOK, asked, _ := f.w.attestChain(0, s, c, 2, min(3, f.w.Net.K)-1, nil)
+			if wantOK != tc.want || asked < 2 {
+				t.Fatalf("fixture: fresh search = (%v, %d queries), want (%v, >= 2)", wantOK, asked, tc.want)
+			}
+			want := msgTally{msgs: int64(2 * asked), bits: int64(2*asked) * int64(messageBits(c)+64), maxBits: int64(messageBits(c) + 64)}
+			for i, v := range []int{0, other} {
+				if i == 1 {
+					f.w.heldLog[0][path[3]] = c - f.w.heldLog[0][path[3]] // 0 <-> c
+					if ok, _, _ := f.w.attestChain(v, s, c, 2, min(3, f.w.Net.K)-1, nil); ok == wantOK {
+						t.Fatal("fixture: the log edit did not flip a fresh search")
+					}
+				}
+				var acc msgTally
+				if got := f.w.verifyColor(v, s, c, 3, &acc); got != wantOK || acc != want {
+					t.Fatalf("receiver %d: (%v, %+v), fresh search (%v, %+v)", v, got, acc, wantOK, want)
+				}
+			}
+		})
+	}
+}
+
+// attestEven is an adversary whose Byzantine nodes vouch for anything to
+// even verifiers and for nothing to odd ones.
+type attestEven struct{ HonestAdversary }
+
+func (attestEven) Attest(_ *World, _, v int, _ int64, _ int) bool { return v%2 == 0 }
+
+// A search that reaches a Byzantine node depends on the verifier, so it
+// is never reused: two receivers of one honest sender in one round, whose
+// only chain runs through a Byzantine neighbor of the sender, get the
+// answers that Byzantine node gives each of them, in either order.
+func TestVerifyNeverReusesByzantineSearch(t *testing.T) {
+	net := newVerifyFixture(t, nil, nil).net
+	// An honest sender s with a Byzantine H-neighbor b and two more
+	// H-neighbors of opposite parity, both receivers of s.
+	s, b, even, odd := -1, -1, -1, -1
+	for x := 0; x < net.H.N() && (even < 0 || odd < 0); x++ {
+		nbs := net.H.UniqueNeighbors(x)
+		if len(nbs) < 3 {
+			continue
+		}
+		s, b, even, odd = x, int(nbs[0]), -1, -1
+		for _, y := range nbs[1:] {
+			if y%2 == 0 && even < 0 {
+				even = int(y)
+			} else if y%2 == 1 && odd < 0 {
+				odd = int(y)
+			}
+		}
+	}
+	if odd < 0 || even < 0 {
+		t.Skip("no sender with receivers of both parities")
+	}
+	f := newVerifyFixture(t, []int{b}, attestEven{})
+	// t = 2: s must have held c at round 1 and some neighbor of s
+	// generated it at round 0. No honest node did, so only b can vouch.
+	const c = int64(40)
+	f.holdFrom(s, c, 1)
+	for _, order := range [][]int{{even, odd}, {odd, even}} {
+		f.w.globalRound++ // a new round for each order
+		for _, v := range order {
+			if got, want := f.w.verifyColor(v, int32(s), c, 2, &msgTally{}), v%2 == 0; got != want {
+				t.Fatalf("order %v: receiver %d accepted=%v, want %v (Byzantine answer reused across verifiers)", order, v, got, want)
+			}
+		}
 	}
 }

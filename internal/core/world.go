@@ -33,7 +33,8 @@ type World struct {
 
 	held         *sim.Exchange[int64]
 	heldBuf      []int64   // slab backing heldLog, zeroed on Reset
-	heldLog      [][]int64 // [node][round] held value after each round of the current subphase
+	heldLog      [][]int64 // [round][node] held value after each round of the current subphase
+	logTop       int       // last heldLog row written this subphase
 	logN, logLen int       // dimensions heldBuf/heldLog were built for
 	color        []int64   // color drawn this subphase (0 if not generating)
 	decided      []int32   // phase at which the node decided; 0 = still active
@@ -85,13 +86,15 @@ type World struct {
 	// (worklists, dirty stamps, the quiet flood-cost aggregate); hasCand[v]
 	// marks nodes that saw improvement candidates this round and so must
 	// be re-stepped next round (verification outcomes and attestation
-	// costs depend on the round index). logUpTo[v] is the last round of
-	// the current subphase whose heldLog entry was actually written —
-	// skipped nodes stop writing their (unchanged) log, and every reader
-	// goes through the clamped logAt accessor instead. See frontier.go.
+	// costs depend on the round index). See frontier.go.
 	fr      frontier
 	hasCand []bool
-	logUpTo []int32
+
+	// attested[x] is honest sender x's chain-attestation outcome for the
+	// current round (see verifyColor): the round stamp, whether the chain
+	// passed, and how many queries the search sent. Written concurrently
+	// by the round's chunks, always with the same value for one stamp.
+	attested []atomic.Uint64
 
 	// Frontier-occupancy instrumentation (Config.RecordFrontierOccupancy):
 	// node-rounds stepped and rounds executed in the current phase, and
@@ -219,14 +222,15 @@ func (w *World) ResetTopology(topo *Topology, byz []bool, adv Adversary, cfg Con
 	logLen := cfg.MaxPhase + 1
 	if w.logN != n || w.logLen != logLen {
 		w.heldBuf = resetSlice(w.heldBuf, n*logLen)
-		w.heldLog = resetSlice(w.heldLog, n)
-		for v := 0; v < n; v++ {
-			w.heldLog[v] = w.heldBuf[v*logLen : (v+1)*logLen]
+		w.heldLog = resetSlice(w.heldLog, logLen)
+		for r := range w.heldLog {
+			w.heldLog[r] = w.heldBuf[r*n : (r+1)*n]
 		}
 		w.logN, w.logLen = n, logLen
 	} else {
 		clear(w.heldBuf)
 	}
+	w.logTop = 0
 	w.color = resetSlice(w.color, n)
 	w.decided = resetSlice(w.decided, n)
 	w.decidedRound = resetSlice(w.decidedRound, n)
@@ -258,7 +262,7 @@ func (w *World) ResetTopology(topo *Topology, byz []bool, adv Adversary, cfg Con
 	w.candOverflows.Store(0)
 	w.fr.reset(n)
 	w.hasCand = resetSlice(w.hasCand, n)
-	w.logUpTo = resetSlice(w.logUpTo, n)
+	w.attested = resetSlice(w.attested, n)
 	w.occStepped, w.occRounds = 0, 0
 	w.occPerPhase = w.occPerPhase[:0]
 
@@ -375,26 +379,14 @@ func (w *World) N() int { return w.Net.H.N() }
 func (w *World) Held(v int) int64 { return w.held.Cur()[v] }
 
 // HeldLogAt returns the color node v held after round r of the current
-// subphase; r = 0 is the node's own generated color.
+// subphase; r = 0 is the node's own generated color. A round past the
+// last completed one reads as v's current held color, and a round
+// outside [0, MaxPhase] as 0.
 func (w *World) HeldLogAt(v, r int) int64 {
-	if r < 0 || r >= len(w.heldLog[v]) {
+	if r < 0 || r >= len(w.heldLog) {
 		return 0
 	}
-	return w.logAt(int32(v), r)
-}
-
-// logAt reads node x's held log at round r through the frontier's
-// watermark: rounds the scheduler skipped were never written, but a
-// skipped node's held value is by construction unchanged since its last
-// written round, so the clamp reproduces exactly what an eager write
-// would have stored. logUpTo is only advanced serially between rounds,
-// and heldLog entries at or below it are never written again, so this is
-// safe to call from the round's worker goroutines.
-func (w *World) logAt(x int32, r int) int64 {
-	if u := int(w.logUpTo[x]); r > u {
-		r = u
-	}
-	return w.heldLog[x][r]
+	return w.heldLog[min(r, w.logTop)][v]
 }
 
 // OwnColor returns the color v generated this subphase (0 if v is not

@@ -21,6 +21,7 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -331,21 +332,25 @@ func TestChaosCoordinatorCrashRestart(t *testing.T) {
 	_ = store1 // deliberately never closed: the crash dropped it
 }
 
-// runStragglerFleet runs n chaos workers until stop(); worker 0 is a
-// straggler whose first finished job stalls the scheduler's serial
-// progress callback for stall — its shard keeps heartbeating (the lease
-// stays live) while reporting nothing, which is exactly the profile the
-// steal policy exists for.
+// runStragglerFleet runs n chaos workers until stop(); whichever worker
+// finishes the fleet's first job becomes the straggler: that job stalls
+// its scheduler's serial progress callback for stall — its shard keeps
+// heartbeating (the lease stays live) while reporting nothing, which is
+// exactly the profile the steal policy exists for. Every worker carries
+// the hook, so the straggler is always one that holds a shard; a
+// CompareAndSwap picks it without blocking the others' callbacks, as a
+// sync.Once would for the whole stall.
 func runStragglerFleet(ctx context.Context, t *testing.T, url string, n int, seed uint64, stall time.Duration, stop func() bool) []*chaos.Transport {
 	t.Helper()
-	var stallOnce sync.Once
+	var stalled atomic.Bool
 	stallFirst := func(sweep.Outcome) {
-		stallOnce.Do(func() {
-			select {
-			case <-time.After(stall):
-			case <-ctx.Done():
-			}
-		})
+		if !stalled.CompareAndSwap(false, true) {
+			return
+		}
+		select {
+		case <-time.After(stall):
+		case <-ctx.Done():
+		}
 	}
 	var mu sync.Mutex
 	var transports []*chaos.Transport
@@ -355,11 +360,7 @@ func runStragglerFleet(ctx context.Context, t *testing.T, url string, n int, see
 		go func(i int) {
 			defer wg.Done()
 			for gen := 0; !stop() && ctx.Err() == nil; gen++ {
-				var hook func(sweep.Outcome)
-				if i == 0 {
-					hook = stallFirst
-				}
-				w, tr := chaosWorker(url, fmt.Sprintf("w%d.%d", i, gen), seed*100+uint64(i*10+gen), hook)
+				w, tr := chaosWorker(url, fmt.Sprintf("w%d.%d", i, gen), seed*100+uint64(i*10+gen), stallFirst)
 				mu.Lock()
 				transports = append(transports, tr)
 				mu.Unlock()
