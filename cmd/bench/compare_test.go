@@ -69,12 +69,15 @@ func syntheticBaseline(nsPerOp float64, otherMachine bool) trajectory {
 	return trajectory{Series: []entry{e}}
 }
 
-// Case names the gates pair up: the arena case the baseline holds and a
-// hiphase frontier/dense pair (minSpeedup).
+// Case names the gates pair up: the arena case the baseline holds, a
+// hiphase frontier/dense pair (minSpeedup) and a generation fast/reference
+// pair (minGenSpeedup).
 const (
 	arenaCase    = "core/run-arena/n=1"
 	frontierCase = "core/run-hiphase/n=1"
 	denseCase    = "core/run-hiphase-dense/n=1"
+	genCase      = "hgraph/gen/n=1"
+	genRefCase   = "hgraph/gen-ref/n=1"
 )
 
 // TestCompareGates feeds compare each kind of regression and checks that
@@ -85,12 +88,14 @@ func TestCompareGates(t *testing.T) {
 	}
 	shortBenchtime(t)
 	// clean is the set of cases every gate passes: the dense case costs
-	// 4× the frontier one.
+	// 4× the frontier one, and the reference generator 4× the fast one.
 	clean := func() map[string]benchCase {
 		return map[string]benchCase{
 			arenaCase:    {name: arenaCase, fn: spin(1)},
 			frontierCase: {name: frontierCase, fn: spin(1)},
 			denseCase:    {name: denseCase, fn: spin(4)},
+			genCase:      {name: genCase, fn: spin(1)},
+			genRefCase:   {name: genRefCase, fn: spin(4)},
 		}
 	}
 	for _, tc := range []struct {
@@ -112,6 +117,13 @@ func TestCompareGates(t *testing.T) {
 				cs[denseCase] = benchCase{name: denseCase, fn: spin(1)}
 			},
 			want: frontierCase + ": frontier speedup"},
+		{name: "gen-ratio", baseline: syntheticBaseline(1e9, true),
+			edit: func(cs map[string]benchCase) {
+				// Generation now costs 4× the reference generator.
+				cs[genCase] = benchCase{name: genCase, fn: spin(4)}
+				cs[genRefCase] = benchCase{name: genRefCase, fn: spin(1)}
+			},
+			want: genCase + ": generation speedup"},
 		{name: "ns-regression-same-machine", baseline: syntheticBaseline(1, false),
 			want: arenaCase + ": ns/op"},
 	} {
@@ -121,7 +133,7 @@ func TestCompareGates(t *testing.T) {
 				tc.edit(byName)
 			}
 			var cs []benchCase
-			for _, name := range []string{arenaCase, frontierCase, denseCase} {
+			for _, name := range []string{arenaCase, frontierCase, denseCase, genCase, genRefCase} {
 				cs = append(cs, byName[name])
 			}
 			var out strings.Builder

@@ -334,9 +334,10 @@ const minSpeedup = 1.1
 
 // minGenSpeedup is the floor on the same-run reference-vs-fast topology
 // generation ratio (hgraph/gen-ref over hgraph/gen at the same n).
-// Measured on a single core: 2.1× at n=16384, 1.7× at the quick n=1024;
-// machines with more cores add the pooled fan-out on top. 1.3 leaves
-// noise room while catching any change that erases the fast path's win.
+// Measured on a 2-vCPU VM: 5.6× at n=16384, where hgraph.New fans the
+// closure out over both cores, and 5.1–5.4× at the quick n=1024, which
+// runs serially. 1.3 leaves noise room while catching any change that
+// erases the fast path's win.
 const minGenSpeedup = 1.3
 
 // compare re-measures the core/run benchmarks of the baseline's last

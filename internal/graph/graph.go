@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -88,8 +89,7 @@ func (b *Builder) Build() *Graph {
 	}
 	g := &Graph{n: b.n, offsets: offsets, adj: adj}
 	for v := 0; v < b.n; v++ {
-		nb := g.adjSlice(int32(v))
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+		slices.Sort(g.adjSlice(int32(v)))
 	}
 	return g
 }

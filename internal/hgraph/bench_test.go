@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -24,7 +25,7 @@ func BenchmarkGenerateH(b *testing.B) {
 // BenchmarkNew measures full network generation — H plus the radius-k
 // lattice closure G = H∪L — the dominant fixed cost of a sweep job,
 // which the sweep cache exists to amortize. This is the fast path: the
-// sort-free layered-merge lattice closure.
+// row-bitmap lattice closure.
 func BenchmarkNew(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -48,6 +49,24 @@ func BenchmarkNewReference(b *testing.B) {
 				if _, err := NewReference(Params{N: n, D: 8, Seed: uint64(i + 1)}); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// buildGSink keeps BenchmarkBuildG's result live.
+var buildGSink *graph.Graph
+
+// BenchmarkBuildG measures the serial lattice closure alone, from
+// n = 512 (one bitmap word per 64 nodes, a single summary word) to
+// n = 65536 (sixteen summary words).
+func BenchmarkBuildG(b *testing.B) {
+	for _, n := range []int{512, 2048, 16384, 65536} {
+		h := GenerateH(n, 8, rng.New(9))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildGSink = BuildG(h, DefaultK(8))
 			}
 		})
 	}

@@ -11,8 +11,10 @@ package hgraph
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -102,24 +104,91 @@ func TestGoldenNetworkDigestsWorkerInvariant(t *testing.T) {
 func TestBuildGRadiusEdgeCases(t *testing.T) {
 	h := GenerateH(64, 6, rng.New(3))
 	for _, k := range []int{0, 1} {
-		fast := BuildG(h, k)
-		ref := buildGReference(h, k)
-		fastOff, fastAdj := fast.CSR()
-		refOff, refAdj := ref.CSR()
-		if len(fastAdj) != len(refAdj) || len(fastOff) != len(refOff) {
-			t.Fatalf("k=%d: CSR shape differs (fast %d/%d, ref %d/%d)",
-				k, len(fastOff), len(fastAdj), len(refOff), len(refAdj))
-		}
-		for i := range fastAdj {
-			if fastAdj[i] != refAdj[i] {
-				t.Fatalf("k=%d: adjacency differs at %d", k, i)
+		sameGraph(t, fmt.Sprintf("k=%d", k), BuildG(h, k), buildGReference(h, k))
+	}
+}
+
+// TestBuildGWordBoundaries compares the closure with the reference where
+// a bitmap off-by-one would show and the golden grid does not reach:
+// node counts on both sides of 64-bit word boundaries, degrees up to 16,
+// and radii up to 6, where balls cover the whole graph. n = 4095..4097
+// straddles the first summary word and is large enough for the pools to
+// split the node range. A hand-built multigraph adds parallel edges,
+// self-loops and an isolated node, which GenerateH rarely or never
+// produces.
+func TestBuildGWordBoundaries(t *testing.T) {
+	pools := closurePools(t)
+	for _, d := range []int{4, 6, 8, 16} {
+		for _, n := range []int{d + 1, 63, 64, 65, 127, 128, 129} {
+			h := GenerateH(n, d, rng.New(uint64(n*d)))
+			for k := 0; k <= 6; k++ {
+				checkClosure(t, fmt.Sprintf("n=%d d=%d k=%d", n, d, k), h, k, pools)
 			}
 		}
-		for i := range fastOff {
-			if fastOff[i] != refOff[i] {
-				t.Fatalf("k=%d: offsets differ at %d", k, i)
-			}
-		}
+	}
+	for _, n := range []int{4095, 4096, 4097} {
+		checkClosure(t, fmt.Sprintf("n=%d d=4 k=3", n), GenerateH(n, 4, rng.New(uint64(n))), 3, pools)
+	}
+
+	b := graph.NewBuilder(7) // node 5 is isolated; node 6 has only a self-loop
+	for _, e := range [][2]int{{0, 1}, {0, 1}, {1, 2}, {2, 2}, {2, 3}, {3, 4}, {4, 0}, {6, 6}} {
+		b.AddEdge(e[0], e[1])
+	}
+	h := b.Build()
+	for k := 0; k <= 6; k++ {
+		checkClosure(t, fmt.Sprintf("hand-built k=%d", k), h, k, pools)
+	}
+}
+
+// FuzzBuildG compares the serial and pooled closures with the reference
+// on random small instances: n up to d+511, even d from 4 to 16, and k
+// from 0 to 6.
+func FuzzBuildG(f *testing.F) {
+	f.Add(uint16(64), uint8(2), uint8(3), uint64(1))
+	f.Add(uint16(129), uint8(6), uint8(6), uint64(2))
+	f.Add(uint16(300), uint8(0), uint8(1), uint64(3))
+	pools := closurePools(f)
+	f.Fuzz(func(t *testing.T, rawN uint16, rawD, rawK uint8, seed uint64) {
+		d := 4 + 2*int(rawD%7)
+		n := d + 1 + int(rawN%512)
+		k := int(rawK % 7)
+		h := GenerateH(n, d, rng.New(seed))
+		checkClosure(t, fmt.Sprintf("n=%d d=%d k=%d seed=%d", n, d, k, seed), h, k, pools)
+	})
+}
+
+// closurePools returns pools of 2, 3 and 32 workers, closed when tb
+// ends. 32 workers exceed n/chunk for most inputs, which leaves empty
+// trailing chunks.
+func closurePools(tb testing.TB) []*sim.Pool {
+	var pools []*sim.Pool
+	for _, workers := range []int{2, 3, 32} {
+		pool := sim.NewPool(workers)
+		tb.Cleanup(pool.Close)
+		pools = append(pools, pool)
+	}
+	return pools
+}
+
+// checkClosure compares BuildG, and BuildGWith on each pool, with the
+// reference closure of h at radius k.
+func checkClosure(t testing.TB, what string, h *graph.Graph, k int, pools []*sim.Pool) {
+	t.Helper()
+	want := buildGReference(h, k)
+	sameGraph(t, what+" serial", BuildG(h, k), want)
+	for _, pool := range pools {
+		sameGraph(t, fmt.Sprintf("%s on %d workers", what, pool.Workers()), BuildGWith(h, k, pool), want)
+	}
+}
+
+// sameGraph fails t unless got and want have identical CSR arrays.
+func sameGraph(t testing.TB, what string, got, want *graph.Graph) {
+	t.Helper()
+	gotOff, gotAdj := got.CSR()
+	wantOff, wantAdj := want.CSR()
+	if !slices.Equal(gotOff, wantOff) || !slices.Equal(gotAdj, wantAdj) {
+		t.Fatalf("%s: CSR differs from the reference closure (offsets %d vs %d, adjacency %d vs %d entries)",
+			what, len(gotOff), len(wantOff), len(gotAdj), len(wantAdj))
 	}
 }
 

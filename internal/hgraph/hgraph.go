@@ -5,7 +5,9 @@
 //     expander w.h.p. (Lemma 19).
 //   - L: the "lattice" overlay connecting every pair of nodes within
 //     H-distance k, k = ⌈d/3⌉.
-//   - G = H ∪ L: the small-world network the protocol runs on.
+//   - G = H ∪ L: the small-world network the protocol runs on, built by
+//     growing every node's H-ball level by level in a row bitmap
+//     (BuildGWith).
 //
 // It also implements the structural machinery of the analysis: the
 // locally-tree-like classification (Definitions 7–8), the node taxonomy of
@@ -19,6 +21,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -106,251 +109,107 @@ func BuildG(h *graph.Graph, k int) *graph.Graph {
 }
 
 // BuildGWith is BuildG parallelized over nodes via pool (nil runs
-// serially). The row of v in G is exactly ball_H(v, k) \ {v}, and the
-// fast path never sorts: it grows distance balls level by level, where
-// the level-i ball of v is the dedup-merge of the already-sorted level-
-// (i-1) balls of v's neighbors. H's CSR rows are sorted, so level 1 is a
-// dedup copy, and every later level is a pairwise merge tree over sorted
-// inputs — rows are sorted by construction. (The reference builder spent
-// ~70% of generation in per-row sorts; see buildGReference.)
+// serially). The row of v in G is exactly ball_H(v, k) \ {v}, grown
+// level by level from ball_0(v) = {v}: ball_i(v) is {v} together with
+// the level-(i-1) rows of v's H-neighbours. Each chunk of nodes ORs
+// those rows into one n-bit bitmap (bitRow), and reading the set bits
+// out in ascending order yields the sorted, deduplicated row directly,
+// so nothing is ever sorted or merged. Parallel edges and self-loops
+// only set bits already set. The final level drops the center to
+// become G's adjacency.
 //
 // Each level is one chunked parallel pass reading only the previous
-// level's arrays: workers emit finished rows into per-chunk slabs, and
-// since sim.Pool chunks are contiguous disjoint node ranges, a prefix
-// sum over the degree vector lands each slab in the level's CSR with a
-// single copy — no intermediate edge list and no counting sort.
+// level's arrays (rowPass): workers emit finished rows into per-chunk
+// slabs, and since sim.Pool chunks are contiguous disjoint node ranges,
+// a prefix sum over the degree vector lands each slab in the level's
+// CSR with a single copy — no intermediate edge list and no counting
+// sort.
 //
 // The output is byte-identical to the reference builder (same offsets,
 // same sorted rows), pinned by the golden network digest tests.
 func BuildGWith(h *graph.Graph, k int, pool *sim.Pool) *graph.Graph {
 	n := h.N()
-	hOff, hAdj := h.CSR()
-	avgDeg := 0
-	if n > 0 {
-		avgDeg = len(hAdj)/n + 1
-	}
-
 	if k <= 0 {
 		// A radius-0 ball is just {v}: G has no edges (matching the
 		// reference builder; New never passes 0, which canonicalizes to
 		// the paper's default radius).
 		return graph.FromCSRUnchecked(make([]int32, n+1), nil)
 	}
-	if k == 1 {
-		// G = simple(H): rows are the deduped H rows minus the center.
-		off, adj := rowPass(n, pool, avgDeg, func(v int, m *merger, out []int32) []int32 {
-			var prev int32 = -1
-			for _, w := range hAdj[hOff[v]:hOff[v+1]] {
-				if w != prev && w != int32(v) {
-					out = append(out, w)
-				}
-				prev = w
-			}
-			return out
-		})
-		return graph.FromCSRUnchecked(off, adj)
+	hOff, hAdj := h.CSR()
+	d := len(hAdj) / max(n, 1)
+	off, adj := make([]int32, n+1), make([]int32, n) // level 0: ball_0(v) = {v}
+	for v := range adj {
+		adj[v], off[v+1] = int32(v), int32(v+1)
 	}
-
-	// Level 1, center-inclusive: {v} ∪ unique neighbors, still sorted —
-	// v is spliced into its ordered position while deduping the row.
-	prevOff, prevAdj := rowPass(n, pool, avgDeg+1, func(v int, m *merger, out []int32) []int32 {
-		center := int32(v)
-		placed := false
-		var prev int32 = -1
-		for _, w := range hAdj[hOff[v]:hOff[v+1]] {
-			if w == prev {
-				continue
-			}
-			prev = w
-			if !placed && w >= center {
-				out = append(out, center)
-				placed = true
-				if w == center { // self-loop: the center is already emitted
-					continue
+	for i := 1; i <= k; i++ {
+		prevOff, prevAdj, final := off, adj, i == k
+		// d neighbours' mean rows plus the center: exact at level 1, an
+		// overestimate once balls overlap.
+		sizeHint := min(len(prevAdj)/max(n, 1)*d+1, n)
+		off, adj = rowPass(n, pool, sizeHint, func(v int, row *bitRow, out []int32) []int32 {
+			row.add(int32(v))
+			for _, w := range hAdj[hOff[v]:hOff[v+1]] {
+				for _, x := range prevAdj[prevOff[w]:prevOff[w+1]] {
+					row.add(x)
 				}
 			}
-			out = append(out, w)
-		}
-		if !placed {
-			out = append(out, center)
-		}
-		return out
-	})
-
-	// Levels 2..k: ball_i(v) = ∪_{w ∈ N(v)} ball_{i-1}(w) (∪ {v}, which
-	// every neighbor's ball already contains at i >= 2 since dist(w,v)=1).
-	// The final level drops the center to become G's adjacency.
-	for i := 2; i <= k; i++ {
-		final := i == k
-		sizeHint := len(prevAdj) / max(n, 1) * (avgDeg - 1)
-		if sizeHint > n {
-			sizeHint = n
-		}
-		drop := func(v int) int32 {
 			if final {
-				return int32(v)
+				row.remove(int32(v))
 			}
-			return -1
-		}
-		off, adj := rowPass(n, pool, sizeHint, func(v int, m *merger, out []int32) []int32 {
-			lists := m.lists[:0]
-			var prev int32 = -1
-			for _, w := range hAdj[hOff[v]:hOff[v+1]] {
-				if w != prev && w != int32(v) {
-					lists = append(lists, prevAdj[prevOff[w]:prevOff[w+1]])
-				}
-				prev = w
-			}
-			m.lists = lists
-			if len(lists) == 0 {
-				// All edges were self-loops: the ball is {v} at every
-				// radius, so the center-inclusive row is {v} and the
-				// final row is empty.
-				if !final {
-					out = append(out, int32(v))
-				}
-				return out
-			}
-			return m.union(lists, drop(v), out)
+			return row.drain(out)
 		})
-		prevOff, prevAdj = off, adj
 	}
-	return graph.FromCSRUnchecked(prevOff, prevAdj)
+	return graph.FromCSRUnchecked(off, adj)
 }
 
-// merger is per-worker scratch for sorted-list unions: ping-pong slabs
-// (with their row headers) for the pairwise merge rounds, and a reusable
-// gather slice for the caller's input lists.
-type merger struct {
-	buf   [2][]int32
-	hdr   [2][][]int32
-	lists [][]int32
+// bitRow is a chunk's scratch row: an n-bit set with one summary bit per
+// 64-bit word, so draining it costs in proportion to the words it
+// touched rather than to n.
+type bitRow struct {
+	words   []uint64 // bit x%64 of words[x/64] is node x
+	summary []uint64 // bit j%64 of summary[j/64] is set if words[j] may be non-zero
 }
 
-// union appends the sorted deduplicated union of the sorted input lists
-// to out, omitting drop (pass -1 to keep everything). Intermediate merge
-// rounds keep duplicates (overlap between sibling balls is modest and
-// duplicates cost only their own copies); the final merge dedups.
-//
-// Every row a round produces — including an odd leftover, which is
-// copied rather than carried by reference — lives in that round's slab,
-// so each round reads only the previous round's buffer while writing its
-// own and the ping-pong reuse can never clobber a list still in flight.
-// Slabs are pre-sized to the round's exact output, so row headers never
-// dangle across a reallocation.
-func (m *merger) union(lists [][]int32, drop int32, out []int32) []int32 {
-	cur := lists
-	side := 0
-	for len(cur) > 2 {
-		total := 0
-		for _, l := range cur {
-			total += len(l)
+func newBitRow(n int) *bitRow {
+	nw := (n + 63) / 64
+	return &bitRow{words: make([]uint64, nw), summary: make([]uint64, (nw+63)/64)}
+}
+
+func (r *bitRow) add(x int32) {
+	r.words[x>>6] |= 1 << (x & 63)
+	r.summary[x>>12] |= 1 << ((x >> 6) & 63)
+}
+
+func (r *bitRow) remove(x int32) { r.words[x>>6] &^= 1 << (x & 63) }
+
+// drain appends the row's members to out in ascending order and leaves
+// the row empty.
+func (r *bitRow) drain(out []int32) []int32 {
+	for s, sw := range r.summary {
+		if sw == 0 {
+			continue
 		}
-		slab := m.buf[side]
-		if cap(slab) < total {
-			slab = make([]int32, 0, total)
-		} else {
-			slab = slab[:0]
-		}
-		hdr := m.hdr[side][:0]
-		for i := 0; i < len(cur); i += 2 {
-			base := len(slab)
-			if i+1 < len(cur) {
-				slab = merge2(slab, cur[i], cur[i+1])
-			} else {
-				slab = append(slab, cur[i]...)
+		r.summary[s] = 0
+		for ; sw != 0; sw &= sw - 1 {
+			j := s<<6 | bits.TrailingZeros64(sw)
+			base := int32(j << 6)
+			w := r.words[j]
+			r.words[j] = 0
+			for ; w != 0; w &= w - 1 {
+				out = append(out, base|int32(bits.TrailingZeros64(w)))
 			}
-			hdr = append(hdr, slab[base:len(slab):len(slab)])
-		}
-		m.buf[side] = slab
-		m.hdr[side] = hdr
-		cur = hdr
-		side ^= 1
-	}
-	if len(cur) == 1 {
-		return dedupInto(out, cur[0], drop)
-	}
-	return mergeDedup(out, cur[0], cur[1], drop)
-}
-
-// merge2 appends the sorted merge (duplicates kept) of a and b to dst,
-// whose capacity must already cover the result (union pre-sizes its
-// slabs): extending by reslice and writing through a cursor keeps the
-// hot loop free of append's capacity checks.
-func merge2(dst, a, b []int32) []int32 {
-	o := len(dst)
-	dst = dst[:o+len(a)+len(b)] // extend within the pre-sized capacity
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		av, bv := a[i], b[j]
-		if av <= bv {
-			dst[o] = av
-			i++
-		} else {
-			dst[o] = bv
-			j++
-		}
-		o++
-	}
-	o += copy(dst[o:], a[i:])
-	copy(dst[o:], b[j:])
-	return dst
-}
-
-// mergeDedup appends the sorted deduplicated merge of a and b to dst,
-// omitting drop. Node IDs are non-negative, so -1 is a safe "nothing
-// emitted yet" sentinel.
-func mergeDedup(dst, a, b []int32, drop int32) []int32 {
-	last := int32(-1)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x := a[i]
-		if b[j] < x {
-			x = b[j]
-			j++
-		} else {
-			i++
-		}
-		if x != last && x != drop {
-			dst = append(dst, x)
-			last = x
 		}
 	}
-	rest := a[i:]
-	if j < len(b) {
-		rest = b[j:]
-	}
-	for _, x := range rest {
-		if x != last && x != drop {
-			dst = append(dst, x)
-			last = x
-		}
-	}
-	return dst
-}
-
-// dedupInto appends the deduplicated copy of sorted a to dst, omitting
-// drop.
-func dedupInto(dst, a []int32, drop int32) []int32 {
-	last := int32(-1)
-	for _, x := range a {
-		if x != last && x != drop {
-			dst = append(dst, x)
-			last = x
-		}
-	}
-	return dst
+	return out
 }
 
 // rowPass builds one CSR level in parallel: emit appends node v's
-// finished sorted row to its slab and returns it. Chunk ranges from
+// finished sorted row to its slab and returns it, using row, the
+// chunk's scratch bitmap, which it must leave empty. Chunk ranges from
 // sim.Pool are contiguous and disjoint, so each chunk's slab is the
 // exact concatenation of its rows in node order and stitching is one
 // copy per shard after a prefix sum over the degree vector.
-func rowPass(n int, pool *sim.Pool, sizeHint int, emit func(v int, m *merger, out []int32) []int32) (offsets, adj []int32) {
-	if sizeHint < 1 {
-		sizeHint = 1
-	}
+func rowPass(n int, pool *sim.Pool, sizeHint int, emit func(v int, row *bitRow, out []int32) []int32) (offsets, adj []int32) {
 	deg := make([]int32, n)
 	type shard struct {
 		start int
@@ -367,11 +226,11 @@ func rowPass(n int, pool *sim.Pool, sizeHint int, emit func(v int, m *merger, ou
 			// offsets[start] past the end during stitching.
 			return
 		}
-		m := &merger{}
+		row := newBitRow(n)
 		slab := make([]int32, 0, sizeHint*(end-start))
 		for v := start; v < end; v++ {
 			base := len(slab)
-			slab = emit(v, m, slab)
+			slab = emit(v, row, slab)
 			deg[v] = int32(len(slab) - base)
 		}
 		mu.Lock()
@@ -441,9 +300,12 @@ func AssignIDs(n int, src *rng.Source) []uint64 {
 	return ids
 }
 
-// parallelGenThreshold is the node count below which New skips spinning a
-// transient worker pool: at small n the lattice closure runs in
-// microseconds and pool start-up would dominate.
+// parallelGenThreshold is the node count below which New runs the
+// lattice closure serially instead of on a transient worker pool. Below
+// it the closure takes milliseconds on one core (BenchmarkBuildG: about
+// 2 ms at n = 512 and 9–13 ms at n = 2048), and callers that generate
+// many small networks parallelize across networks instead: the sweep
+// cache generates through NewWith under its per-job worker budget.
 const parallelGenThreshold = 4096
 
 // New generates a full network instance from params. Large instances

@@ -372,11 +372,3 @@ func BenchmarkGenerateH4096(b *testing.B) {
 		GenerateH(4096, 8, rng.New(uint64(i)))
 	}
 }
-
-func BenchmarkBuildG1024(b *testing.B) {
-	h := GenerateH(1024, 8, rng.New(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildG(h, 3)
-	}
-}
