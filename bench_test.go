@@ -215,7 +215,7 @@ func BenchmarkRunUnderInflate1024(b *testing.B) {
 
 func BenchmarkNetworkGeneration4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		hgraph.MustNew(hgraph.Params{N: 4096, D: 8, Seed: uint64(i + 1)})
+		hgraph.MustNew(hgraph.Params{N: 4096, D: 8, Seed: uint64(i + 1)}).G()
 	}
 }
 

@@ -111,7 +111,8 @@ var DefaultBand = metrics.DefaultBand
 
 // NewNetwork generates a small-world network instance per the paper's
 // model (§2.1): H(n,d) from d/2 random Hamiltonian cycles, plus lattice
-// edges between all pairs within H-distance k = ⌈d/3⌉.
+// edges between all pairs within H-distance k = ⌈d/3⌉, which the network
+// builds on first use (Network.G).
 func NewNetwork(p Params) (*Network, error) { return hgraph.New(p) }
 
 // PlaceByzantine marks `count` uniformly random Byzantine nodes, matching

@@ -136,6 +136,7 @@ func cases(quick bool) []benchCase {
 			return
 		}
 		nets[n] = hgraph.MustNew(hgraph.Params{N: n, D: 8, Seed: 11})
+		nets[n].G() // built outside the timed runs, as a cached network's would be
 		byzs[n] = hgraph.PlaceByzantine(n, hgraph.ByzantineBudget(n, 0.75), rng.New(12))
 		topos[n] = core.NewTopology(nets[n])
 	}
@@ -219,18 +220,23 @@ func cases(quick bool) []benchCase {
 		}
 	}
 
-	// Topology pipeline: cold generation on the fast path (what a cache
-	// miss without a disk tier costs), the seed reference generator
-	// (same machine, so each entry records the speedup ratio), and a
-	// disk-tier hit (what a warm store turns that miss into).
+	// Topology pipeline: cold generation on the fast path with G built
+	// (what an Algorithm 2 cache miss without a disk tier costs), the
+	// seed reference generator, which builds G eagerly (same machine, so
+	// each entry records the speedup ratio), and a disk-tier hit on a
+	// blob that carries G (what a warm store turns that miss into once
+	// the store holds G; a blob saved before any run built G is smaller
+	// and cheaper to read, but leaves the closure to the run).
 	for _, n := range genSizes {
 		n := n
 		cs = append(cs, benchCase{name: fmt.Sprintf("hgraph/gen/n=%d", n), fn: func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := hgraph.New(hgraph.Params{N: n, D: 8, Seed: 11}); err != nil {
+				net, err := hgraph.New(hgraph.Params{N: n, D: 8, Seed: 11})
+				if err != nil {
 					b.Fatal(err)
 				}
+				net.G()
 			}
 		}})
 	}
@@ -257,6 +263,7 @@ func cases(quick bool) []benchCase {
 			if err != nil {
 				b.Fatal(err)
 			}
+			net.G()
 			if err := store.Save(net, core.NewTopology(net)); err != nil {
 				b.Fatal(err)
 			}
@@ -333,11 +340,11 @@ func measureBest(c benchCase) benchResult {
 const minSpeedup = 1.1
 
 // minGenSpeedup is the floor on the same-run reference-vs-fast topology
-// generation ratio (hgraph/gen-ref over hgraph/gen at the same n).
-// Measured on a 2-vCPU VM: 5.6× at n=16384, where hgraph.New fans the
-// closure out over both cores, and 5.1–5.4× at the quick n=1024, which
-// runs serially. 1.3 leaves noise room while catching any change that
-// erases the fast path's win.
+// generation ratio (hgraph/gen-ref over hgraph/gen at the same n; both
+// time the lattice closure). Measured on a 2-vCPU VM: 5.6× at n=16384,
+// where Network.G fans the closure out over both cores, and 5.1–5.4× at
+// the quick n=1024, which runs serially. 1.3 leaves noise room while
+// catching any change that erases the fast path's win.
 const minGenSpeedup = 1.3
 
 // compare re-measures the core/run benchmarks of the baseline's last
@@ -435,9 +442,10 @@ func compare(baseline trajectory, cs []benchCase, maxRegress float64, out *strin
 	}
 
 	// Same-run topology-generation ratio: the fast path vs the in-tree
-	// seed reference, machine-independent like the frontier ratio. The
-	// disk-tier cost is reported alongside (informational: it measures
-	// the page cache as much as the codec).
+	// seed reference, both with G built, machine-independent like the
+	// frontier ratio. The disk-tier cost of a blob with G is reported
+	// alongside (informational: it measures the page cache as much as the
+	// codec).
 	for _, c := range cs {
 		if !strings.HasPrefix(c.name, "hgraph/gen/") {
 			continue

@@ -28,7 +28,6 @@ import (
 	"repro/internal/graphio"
 	"repro/internal/hgraph"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/spectral"
 	"repro/internal/sweep"
 )
@@ -70,7 +69,7 @@ func main() {
 		ltlR := hgraph.LTLRadius(*n, *d)
 		_, ltl := hgraph.LocallyTreeLike(net.H, ltlR)
 		fmt.Printf("  locally tree-like (r=%d): %d / %d (%.2f%%)\n\n", ltlR, ltl, *n, 100*float64(ltl)/float64(*n))
-		describe("G = H ∪ L", net.G)
+		describe("G = H ∪ L", net.G())
 		h = net.H
 	case "ws":
 		g := hgraph.WattsStrogatz(*n, *d/2, *beta, rng.New(*seed))
@@ -97,8 +96,11 @@ func main() {
 // runPregen fills the topology store with every distinct canonical
 // (n, d, k, seed) the spec's grid expands to (or the single fallback
 // instance when no spec is given), generating missing entries in
-// parallel. Already-present blobs are skipped, so pregen is incremental
-// and restartable.
+// parallel. A topology that an Algorithm 2 job of the grid runs on is
+// stored with its G, so sweeps load the closure instead of building it;
+// so is the fallback instance, as Algorithm 2 is the sweep default.
+// Already-present blobs are skipped, so pregen is incremental and
+// restartable.
 func runPregen(specPath, storeDir string, workers int, fallback hgraph.Params) error {
 	var store *graphio.NetStore
 	if storeDir != "" {
@@ -111,13 +113,13 @@ func runPregen(specPath, storeDir string, workers int, fallback hgraph.Params) e
 	}
 
 	var params []hgraph.Params
-	seen := map[hgraph.Params]bool{}
-	add := func(p hgraph.Params) {
+	needG := map[hgraph.Params]bool{} // keys: every param seen
+	add := func(p hgraph.Params, g bool) {
 		p = p.Canonical()
-		if !seen[p] {
-			seen[p] = true
+		if _, seen := needG[p]; !seen {
 			params = append(params, p)
 		}
+		needG[p] = needG[p] || g
 	}
 	if specPath != "" {
 		spec, err := sweep.LoadSpec(specPath)
@@ -129,10 +131,10 @@ func runPregen(specPath, storeDir string, workers int, fallback hgraph.Params) e
 			return err
 		}
 		for _, j := range jobs {
-			add(j.Net)
+			add(j.Net, j.Algorithm == core.AlgorithmByzantine)
 		}
 	} else {
-		add(fallback)
+		add(fallback, true)
 	}
 
 	var todo []hgraph.Params
@@ -150,12 +152,6 @@ func runPregen(specPath, storeDir string, workers int, fallback hgraph.Params) e
 	if workers > len(todo) {
 		workers = len(todo)
 	}
-	// Split the machine between concurrent generations and within-
-	// generation parallelism, mirroring the sweep scheduler's division.
-	poolSize := runtime.GOMAXPROCS(0) / max(workers, 1)
-	if poolSize < 1 {
-		poolSize = 1
-	}
 
 	start := time.Now()
 	var (
@@ -169,11 +165,12 @@ func runPregen(specPath, storeDir string, workers int, fallback hgraph.Params) e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pool := sim.NewPool(poolSize)
-			defer pool.Close()
 			for p := range work {
-				net, err := hgraph.NewWith(p, pool)
+				net, err := hgraph.New(p)
 				if err == nil {
+					if needG[p] {
+						net.G()
+					}
 					err = store.Save(net, core.NewTopology(net))
 				}
 				mu.Lock()

@@ -23,7 +23,7 @@ func main() {
 	fmt.Printf("%-12s %9s %11s %9s %8s %7s\n",
 		"graph", "max deg", "clustering", "diameter", "λ", "gap")
 	row("H(n,8)", net.H)
-	row(fmt.Sprintf("G (k=%d)", net.K), net.G)
+	row(fmt.Sprintf("G (k=%d)", net.K), net.G())
 	row("WS(4,0.1)", ws)
 
 	ltlR := hgraph.LTLRadius(n, d)

@@ -28,13 +28,18 @@ import (
 // the paper; they can only fabricate all-Byzantine structures, which
 // Observation 6 bounds.
 func (w *World) runExchange() {
+	// The exchange is G's only reader. The first run on a network builds
+	// G on this run's pool; later runs, here or in other arenas sharing
+	// the network, find it built.
+	g := w.Net.GWith(w.pool)
+
 	// Exchange cost: every uncrashed node ships its adjacency list to all
 	// G-neighbors (constant rounds, constant-ID messages: Remark 3).
 	n := w.N()
 	d := w.Net.Params.D
 	for v := 0; v < n; v++ {
 		if !w.Byz[v] {
-			w.counters.CountMessages(w.Net.G.Degree(v), (d+1)*64)
+			w.counters.CountMessages(g.Degree(v), (d+1)*64)
 		}
 	}
 	w.counters.CountRound()
@@ -51,7 +56,7 @@ func (w *World) runExchange() {
 	// b's G-row counts b's victims without a search. After the prefix sum
 	// end[v] is where v's records start; the fill advances it past them.
 	k := w.Net.K
-	gOff, gAdj := w.Net.G.CSR()
+	gOff, gAdj := g.CSR()
 	end := resetSlice(w.exchEnd, n+1)
 	w.exchEnd = end
 	for _, b := range w.byzList {
@@ -102,7 +107,7 @@ func (w *World) runExchange() {
 	lo := int32(0)
 	for v := 0; v < n; v++ {
 		if hi := end[v]; hi > lo {
-			w.exchangeAtVictim(v, recs[lo:hi], keys)
+			w.exchangeAtVictim(g, v, recs[lo:hi], keys)
 			lo = hi
 		}
 	}
@@ -125,7 +130,7 @@ type claim struct {
 
 // exchangeAtVictim asks v's Byzantine channels for their claims, builds v's
 // believed ball, and applies the crash rule.
-func (w *World) exchangeAtVictim(v int, recs []exchRec, keys []int32) {
+func (w *World) exchangeAtVictim(g *graph.Graph, v int, recs []exchRec, keys []int32) {
 	// Sorting by (distance, key) asks the channels in the order a BFS
 	// from v meets them (DESIGN.md §1): stateful adversaries draw their
 	// claims from a stream.
@@ -154,7 +159,7 @@ func (w *World) exchangeAtVictim(v int, recs []exchRec, keys []int32) {
 		return // everyone reported truthfully; reconstruction is exact
 	}
 
-	if !w.claimedBallConsistent(v, claims) {
+	if !w.claimedBallConsistent(g, v, claims) {
 		w.crashed[v] = true
 		return
 	}
@@ -167,11 +172,11 @@ func (w *World) exchangeAtVictim(v int, recs []exchRec, keys []int32) {
 
 // claimedBallConsistent runs v's BFS over the claimed topology to radius
 // k and reports whether every adjacency list it expands passes the crash
-// rule. v's channel set (G's row of v, plus v) is stamped in exchChan,
+// rule. v's channel set (g's row of v, plus v) is stamped in exchChan,
 // claimers in exchClaimEpoch (their claim index in exchClaimIdx) and
 // reached nodes in exchSeen, all with the current exchEpoch, so no
 // per-victim state needs clearing.
-func (w *World) claimedBallConsistent(v int, claims []claim) bool {
+func (w *World) claimedBallConsistent(g *graph.Graph, v int, claims []claim) bool {
 	n := w.N()
 	if len(w.exchSeen) != n {
 		w.exchSeen = make([]int32, n)
@@ -188,7 +193,7 @@ func (w *World) claimedBallConsistent(v int, claims []claim) bool {
 	}
 	w.exchEpoch++
 	ep := w.exchEpoch
-	gOff, gAdj := w.Net.G.CSR()
+	gOff, gAdj := g.CSR()
 	channel := w.exchChan
 	channel[v] = ep
 	for _, y := range gAdj[gOff[v]:gOff[v+1]] {

@@ -57,7 +57,7 @@ func TestExchangeClaimOrderMatchesVictimBFS(t *testing.T) {
 						// A strictly ascending row of nodes at distance
 						// 1..k, one shorter than the ball, is the ball
 						// without v.
-						row := net.G.Neighbors(v)
+						row := net.G().Neighbors(v)
 						ok := len(row)+1 == len(nodes)
 						for i, y := range row {
 							ok = ok && dist[y] >= 1 && (i == 0 || row[i-1] < y)

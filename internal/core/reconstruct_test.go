@@ -85,7 +85,7 @@ func TestDeriveHFromGSucceedsMoreOftenAsNGrows(t *testing.T) {
 		matched := 0
 		for s := 0; s < samples; s++ {
 			v := src.Intn(n)
-			ball := DeriveHFromG(net.G, v, net.K)
+			ball := DeriveHFromG(net.G(), v, net.K)
 			if DerivationMatches(net.H, v, ball) {
 				matched++
 			}
@@ -113,8 +113,8 @@ func TestDeriverReuseMatchesFreshCalls(t *testing.T) {
 	}
 	d := NewDeriver()
 	for v := 0; v < 400; v++ {
-		reused := d.DeriveHFromG(net.G, v, net.K)
-		fresh := DeriveHFromG(net.G, v, net.K)
+		reused := d.DeriveHFromG(net.G(), v, net.K)
+		fresh := DeriveHFromG(net.G(), v, net.K)
 		if reused.Ambiguous != fresh.Ambiguous {
 			t.Fatalf("node %d: ambiguity %v vs %v", v, reused.Ambiguous, fresh.Ambiguous)
 		}
@@ -148,15 +148,15 @@ func TestDeriverReuseAllocatesLess(t *testing.T) {
 	}
 	d := NewDeriver()
 	v := 0
-	d.DeriveHFromG(net.G, v, net.K) // warm the slabs
+	d.DeriveHFromG(net.G(), v, net.K) // warm the slabs
 	reused := testing.AllocsPerRun(50, func() {
 		v = (v + 17) % 2000
-		d.DeriveHFromG(net.G, v, net.K)
+		d.DeriveHFromG(net.G(), v, net.K)
 	})
 	v = 0
 	fresh := testing.AllocsPerRun(50, func() {
 		v = (v + 17) % 2000
-		DeriveHFromG(net.G, v, net.K)
+		DeriveHFromG(net.G(), v, net.K)
 	})
 	if reused >= fresh {
 		t.Fatalf("reused deriver allocates %.1f/call, fresh path %.1f/call — arena buys nothing", reused, fresh)
@@ -188,15 +188,15 @@ func TestDeriveHFromGParentEdgesAreGEdges(t *testing.T) {
 	src := rng.New(1)
 	for trial := 0; trial < 10; trial++ {
 		v := src.Intn(300)
-		ball := DeriveHFromG(net.G, v, net.K)
+		ball := DeriveHFromG(net.G(), v, net.K)
 		for child, parent := range ball.Parent {
 			if parent == int32(v) {
-				if !net.G.HasEdge(v, int(child)) {
+				if !net.G().HasEdge(v, int(child)) {
 					t.Fatalf("root %d not G-adjacent to %d", child, v)
 				}
 				continue
 			}
-			if !net.G.HasEdge(int(parent), int(child)) {
+			if !net.G().HasEdge(int(parent), int(child)) {
 				t.Fatalf("derived parent edge (%d,%d) not in G", parent, child)
 			}
 		}

@@ -38,11 +38,12 @@ func E04Reconstruction(sc Scale) *Table {
 		var succ stats.Online
 		for trial := 0; trial < sc.Trials; trial++ {
 			net := hgraph.MustNew(hgraph.Params{N: n, D: d, Seed: sc.seedFor(ci, trial)})
+			g := net.G()
 			src := rng.New(sc.seedFor(ci, trial) + 101)
 			matched := 0
 			for s := 0; s < samples; s++ {
 				v := src.Intn(n)
-				ball := deriver.DeriveHFromG(net.G, v, net.K)
+				ball := deriver.DeriveHFromG(g, v, net.K)
 				if core.DerivationMatches(net.H, v, ball) {
 					matched++
 				}

@@ -89,7 +89,8 @@ func E03SmallWorld(sc Scale) *Table {
 		net := hgraph.MustNew(hgraph.Params{N: n, D: 8, Seed: seed})
 		ws := hgraph.WattsStrogatz(n, 4, 0.1, rng.New(seed+7))
 		t.AddRow(n, "H(n,8)", net.H.AvgClustering(), net.H.DiameterLowerBound(4), net.H.Degrees().Max)
-		t.AddRow(n, fmt.Sprintf("G (k=%d)", net.K), net.G.AvgClustering(), net.G.DiameterLowerBound(4), net.G.Degrees().Max)
+		g := net.G()
+		t.AddRow(n, fmt.Sprintf("G (k=%d)", net.K), g.AvgClustering(), g.DiameterLowerBound(4), g.Degrees().Max)
 		t.AddRow(n, "WS(4, 0.1)", ws.AvgClustering(), ws.DiameterLowerBound(4), ws.Degrees().Max)
 	}
 	return t

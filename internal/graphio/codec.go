@@ -2,11 +2,18 @@ package graphio
 
 // codec.go is the versioned binary network codec behind the persistent
 // topology store: one self-contained blob per generated instance holding
-// the hgraph.Network (params, H, G, IDs) and the engine's precomputed
-// core.Topology tables (the reverse-edge index), so a store hit skips
-// both generation and table construction.
+// the hgraph.Network's state (params, H, IDs), its lattice network G if
+// G has been built, and the engine's precomputed core.Topology tables
+// (the reverse-edge index), so a store hit skips generation and table
+// construction. G = H ∪ L is derived from H and only Algorithm 2 reads
+// it, so a network saved before any run read it — every save right
+// after generation — carries no G (an n = 2048, d = 8 blob is 155,720
+// bytes; with G, 3,513,812), and a network loaded without one builds it
+// on first use. Writing G once it is built is what keeps the store
+// worth a disk hit to Algorithm 2: the closure costs about four times
+// the read of G's CSR at n = 16384.
 //
-// Format v1, all little-endian:
+// Format v2, all little-endian:
 //
 //	magic   [4]byte  "BZNT"
 //	version u16      CodecVersion
@@ -14,11 +21,14 @@ package graphio
 //	params  4×u64    N, D, K, Seed (as generated; K may be 0 = default)
 //	netK    u64      resolved lattice radius
 //	hLen    u64      len(H adjacency)
-//	gLen    u64      len(G adjacency)
+//	gLen    u64      len(G adjacency); 0 means the blob carries no G
 //	payload          H offsets (N+1 × i32), H adj (hLen × i32),
-//	                 G offsets (N+1 × i32), G adj (gLen × i32),
+//	                 G offsets (N+1 × i32), G adj (gLen × i32) if gLen > 0,
 //	                 IDs (N × u64), rev (hLen × i32)
 //	crc     u32      CRC-32C (Castagnoli) over everything above
+//
+// v2 is v1 with G optional. A G with no entries, were one built, is
+// written as no G and rebuilt for free, so gLen = 0 loses nothing.
 //
 // The reader is fuzzed (FuzzReadNetwork): truncation, bit flips, version
 // skew, and fabricated lengths must produce errors, never panics or
@@ -43,9 +53,13 @@ import (
 // CodecVersion is the current binary format version. Bump it on any
 // format change: the store namespaces its files by version, so old blobs
 // are simply never opened rather than misparsed.
-const CodecVersion = 1
+const CodecVersion = 2
 
 var netMagic = [4]byte{'B', 'Z', 'N', 'T'}
+
+// headerLen is the encoded header size: magic, version, flags and seven
+// u64 fields.
+const headerLen = 4 + 2 + 2 + 7*8
 
 // maxCodecNodes caps the node count a blob may claim, far above any
 // simulated scale but low enough that header-derived allocations stay
@@ -58,7 +72,8 @@ var ErrCodecVersion = errors.New("graphio: network blob codec version mismatch")
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // WriteNetwork encodes net (and its engine tables; topo may be nil to
-// derive them here) to w in the binary codec format.
+// derive them here) to w in the binary codec format. It writes G only if
+// net has built it (hgraph.Network.BuiltG); it never builds G.
 func WriteNetwork(w io.Writer, net *hgraph.Network, topo *core.Topology) error {
 	if topo == nil {
 		topo = core.NewTopology(net)
@@ -66,12 +81,15 @@ func WriteNetwork(w io.Writer, net *hgraph.Network, topo *core.Topology) error {
 		return fmt.Errorf("graphio: topology belongs to a different network")
 	}
 	hOff, hAdj := net.H.CSR()
-	gOff, gAdj := net.G.CSR()
+	var gOff, gAdj []int32
+	if g := net.BuiltG(); g != nil {
+		gOff, gAdj = g.CSR()
+	}
 
 	crc := crc32.New(crcTable)
 	out := io.MultiWriter(w, crc)
 
-	var hdr [4 + 2 + 2 + 7*8]byte
+	var hdr [headerLen]byte
 	copy(hdr[0:4], netMagic[:])
 	binary.LittleEndian.PutUint16(hdr[4:6], CodecVersion)
 	binary.LittleEndian.PutUint16(hdr[6:8], 0)
@@ -171,14 +189,17 @@ func ReadNetworkSized(r io.Reader, size int64) (*hgraph.Network, *core.Topology,
 
 // blobSize returns the exact encoded size implied by the header fields.
 func blobSize(n, hLen, gLen uint64) int64 {
-	const headerLen = 4 + 2 + 2 + 7*8
-	return headerLen + 4*int64(2*(n+1)+2*hLen+gLen) + 8*int64(n) + 4
+	size := headerLen + 4*int64(n+1+2*hLen) + 8*int64(n) + 4
+	if gLen > 0 {
+		size += 4 * int64(n+1+gLen)
+	}
+	return size
 }
 
 func readNetwork(r io.Reader, size int64) (*hgraph.Network, *core.Topology, error) {
 	cr := &crcReader{r: r, crc: crc32.New(crcTable)}
 
-	var hdr [4 + 2 + 2 + 7*8]byte
+	var hdr [headerLen]byte
 	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
 		return nil, nil, fmt.Errorf("graphio: network blob header: %w", err)
 	}
@@ -234,13 +255,14 @@ func readNetwork(r io.Reader, size int64) (*hgraph.Network, *core.Topology, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	gOff, err := readI32s(cr, int(n)+1, exact, buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	gAdj, err := readI32s(cr, int(gLen), exact, buf)
-	if err != nil {
-		return nil, nil, err
+	var gOff, gAdj []int32
+	if gLen > 0 {
+		if gOff, err = readI32s(cr, int(n)+1, exact, buf); err != nil {
+			return nil, nil, err
+		}
+		if gAdj, err = readI32s(cr, int(gLen), exact, buf); err != nil {
+			return nil, nil, err
+		}
 	}
 	ids, err := readU64s(cr, int(n), exact, buf)
 	if err != nil {
@@ -269,11 +291,13 @@ func readNetwork(r io.Reader, size int64) (*hgraph.Network, *core.Topology, erro
 	if err != nil {
 		return nil, nil, fmt.Errorf("graphio: blob H graph: %w", err)
 	}
-	g, err := graph.FromCSR(gOff, gAdj)
-	if err != nil {
-		return nil, nil, fmt.Errorf("graphio: blob G graph: %w", err)
+	var g *graph.Graph
+	if gLen > 0 {
+		if g, err = graph.FromCSR(gOff, gAdj); err != nil {
+			return nil, nil, fmt.Errorf("graphio: blob G graph: %w", err)
+		}
 	}
-	net := &hgraph.Network{Params: p, H: h, G: g, K: int(netK), IDs: ids}
+	net := hgraph.Restore(p, h, int(netK), ids, g)
 	topo, err := core.TopologyFromRev(net, rev)
 	if err != nil {
 		return nil, nil, err

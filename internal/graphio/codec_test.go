@@ -36,30 +36,60 @@ func encodeNetwork(t *testing.T, net *hgraph.Network, topo *core.Topology) []byt
 
 // TestNetworkCodecRoundTrip pins the codec's core contract: decode(encode(net))
 // is structurally identical — network digest, reverse-edge index, params —
-// and re-encodes to the identical bytes.
+// and re-encodes to the identical bytes. A network whose G is unbuilt
+// encodes without G (blobSize with gLen 0) and loads with G unbuilt; once
+// G is built, the blob carries it and the loaded network serves it without
+// building.
 func TestNetworkCodecRoundTrip(t *testing.T) {
 	for _, p := range codecGrid {
 		net := hgraph.MustNew(p)
 		topo := core.NewTopology(net)
 		blob := encodeNetwork(t, net, topo)
-
+		if want := blobSize(uint64(p.N), uint64(p.N*p.D), 0); int64(len(blob)) != want {
+			t.Errorf("params %+v: G-less blob is %d bytes, want %d", p, len(blob), want)
+		}
 		got, gotTopo, err := ReadNetwork(bytes.NewReader(blob))
 		if err != nil {
 			t.Fatalf("params %+v: ReadNetwork: %v", p, err)
 		}
-		if got.Params != p {
-			t.Errorf("params %+v: loaded params %+v", p, got.Params)
+		if got.BuiltG() != nil {
+			t.Errorf("params %+v: a G-less blob loaded with G", p)
 		}
-		if got.Digest() != net.Digest() {
-			t.Errorf("params %+v: loaded network digest differs", p)
+		if !bytes.Equal(encodeNetwork(t, got, gotTopo), blob) {
+			t.Errorf("params %+v: G-less re-encoding is not byte-identical", p)
 		}
-		if !bytes.Equal(int32Bytes(gotTopo.Rev()), int32Bytes(topo.Rev())) {
-			t.Errorf("params %+v: loaded rev differs", p)
+
+		_, gAdj := net.G().CSR()
+		gBlob := encodeNetwork(t, net, topo)
+		if want := blobSize(uint64(p.N), uint64(p.N*p.D), uint64(len(gAdj))); int64(len(gBlob)) != want {
+			t.Errorf("params %+v: blob with G is %d bytes, want %d", p, len(gBlob), want)
 		}
-		reblob := encodeNetwork(t, got, gotTopo)
-		if !bytes.Equal(blob, reblob) {
-			t.Errorf("params %+v: re-encoding is not byte-identical", p)
+		gotG, gotGTopo, err := ReadNetwork(bytes.NewReader(gBlob))
+		if err != nil {
+			t.Fatalf("params %+v: ReadNetwork with G: %v", p, err)
 		}
+		if gotG.BuiltG() == nil {
+			t.Fatalf("params %+v: a blob with G loaded without it", p)
+		}
+		for _, loaded := range []*hgraph.Network{got, gotG} {
+			if loaded.Params != p {
+				t.Errorf("params %+v: loaded params %+v", p, loaded.Params)
+			}
+			if loaded.Digest() != net.Digest() {
+				t.Errorf("params %+v: loaded network digest differs", p)
+			}
+		}
+		for _, lt := range []*core.Topology{gotTopo, gotGTopo} {
+			if !bytes.Equal(int32Bytes(lt.Rev()), int32Bytes(topo.Rev())) {
+				t.Errorf("params %+v: loaded rev differs", p)
+			}
+		}
+		if !bytes.Equal(encodeNetwork(t, gotG, gotGTopo), gBlob) {
+			t.Errorf("params %+v: re-encoding with G is not byte-identical", p)
+		}
+	}
+	if got := blobSize(2048, 2048*8, 0); got != 155720 {
+		t.Errorf("n = 2048, d = 8 blob without G is %d bytes, want 155720", got)
 	}
 }
 

@@ -45,6 +45,14 @@ func FuzzReadNetwork(f *testing.F) {
 		flip := bytes.Clone(valid)
 		flip[len(flip)/3] ^= 0x80
 		f.Add(flip)
+
+		// The same network once its G is built: the blob carries G.
+		net.G()
+		buf.Reset()
+		if err := WriteNetwork(&buf, net, core.NewTopology(net)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Clone(buf.Bytes()))
 	}
 	f.Add([]byte{})
 	f.Add([]byte("BZNT"))
@@ -65,8 +73,9 @@ func FuzzReadNetwork(f *testing.F) {
 		if !bytes.Equal(buf.Bytes(), data) {
 			t.Fatal("accepted blob is not canonical: re-encoding differs")
 		}
-		// The decoded instance must be safe for the engine: digest and a
-		// short run both exercise the tables without panicking.
+		// The decoded instance must be safe for the engine: the digest
+		// reads H, every table, and G (the stored one, or one built from
+		// the decoded H).
 		_ = net.Digest()
 	})
 }

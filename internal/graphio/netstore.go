@@ -3,8 +3,10 @@ package graphio
 // netstore.go is the persistent topology store: a directory of network
 // blobs (see codec.go) content-addressed by the SHA-256 of canonical
 // generation parameters. It is the disk tier below the sweep scheduler's
-// in-memory network LRU — a sweep (or a netgen -pregen run) pays
-// generation once per (n, d, k, seed) ever, not once per process.
+// in-memory network LRU — a sweep (or a netgen -pregen run) pays H's
+// generation once per (n, d, k, seed) ever, not once per process. A blob
+// carries G only if G was built when it was saved (see codec.go); the
+// sweep cache writes a network back once a run has built its G.
 //
 // Layout: <root>/v<CodecVersion>/<sha256(params)>.net — the version
 // namespace means a codec bump simply stops finding old blobs instead of

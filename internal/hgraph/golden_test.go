@@ -12,7 +12,9 @@ package hgraph
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -87,10 +89,8 @@ func TestGoldenNetworkDigestsWorkerInvariant(t *testing.T) {
 		pool := sim.NewPool(workers)
 		defer pool.Close()
 		for _, tc := range goldenNetworks {
-			net, err := NewWith(tc.p, pool)
-			if err != nil {
-				t.Fatal(err)
-			}
+			net := MustNew(tc.p)
+			net.GWith(pool)
 			if got := net.Digest(); got != tc.digest {
 				t.Errorf("%s with %d workers: digest %s, want %s", tc.name(), workers, got, tc.digest)
 			}
@@ -105,6 +105,81 @@ func TestBuildGRadiusEdgeCases(t *testing.T) {
 	h := GenerateH(64, 6, rng.New(3))
 	for _, k := range []int{0, 1} {
 		sameGraph(t, fmt.Sprintf("k=%d", k), BuildG(h, k), buildGReference(h, k))
+	}
+}
+
+// TestGRadiusBoundedByN: no H-distance exceeds n-1, so every K >= n-1
+// gives the same G, and the closure must stop at level n-1 rather than
+// run one level per unit of K, which neither Params.Validate nor the
+// codec bounds.
+func TestGRadiusBoundedByN(t *testing.T) {
+	radii := []int{15, 16, 1 << 28}
+	want := buildGReference(MustNew(Params{N: 16, D: 4, Seed: 3}).H, 15)
+	gs := make(chan *graph.Graph, len(radii))
+	go func() {
+		for _, k := range radii {
+			gs <- MustNew(Params{N: 16, D: 4, K: k, Seed: 3}).G()
+		}
+	}()
+	for _, k := range radii {
+		select {
+		case g := <-gs:
+			sameGraph(t, fmt.Sprintf("K=%d", k), g, want)
+		case <-time.After(time.Minute):
+			t.Fatalf("G at N = 16, K = %d did not return within a minute", k)
+		}
+	}
+}
+
+// TestGBuiltOnceOnFirstUse: New leaves G unbuilt, and concurrent first
+// callers, through G and through GWith on their own pools, all get the
+// one graph, equal to the reference closure. NewReference, the oracle,
+// builds G eagerly, and Restore with a G serves that G without building.
+func TestGBuiltOnceOnFirstUse(t *testing.T) {
+	p := Params{N: 512, D: 8, Seed: 17}
+	net := MustNew(p)
+	if net.BuiltG() != nil {
+		t.Fatal("New built G")
+	}
+	pools := closurePools(t)
+	got := make([]*graph.Graph, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if i < len(pools) {
+				got[i] = net.GWith(pools[i])
+			} else {
+				got[i] = net.G()
+			}
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != got[0] {
+			t.Fatalf("caller %d got a different graph", i)
+		}
+	}
+	sameGraph(t, "G", got[0], buildGReference(net.H, net.K))
+	if net.BuiltG() != got[0] {
+		t.Fatal("BuiltG does not return the built G")
+	}
+
+	ref, err := NewReference(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.BuiltG() == nil {
+		t.Fatal("NewReference left G unbuilt")
+	}
+
+	stored := Restore(p, net.H, net.K, net.IDs, got[0])
+	if stored.BuiltG() != got[0] || stored.G() != got[0] {
+		t.Fatal("Restore with a G does not serve it")
+	}
+	if Restore(p, net.H, net.K, net.IDs, nil).BuiltG() != nil {
+		t.Fatal("Restore without a G built one")
 	}
 }
 
@@ -208,10 +283,11 @@ func TestFastPathMatchesReferenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, err := NewWith(p, pool)
+		fast, err := New(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fast.GWith(pool)
 		if ref.Digest() != fast.Digest() {
 			t.Errorf("params %+v: fast path diverges from reference", p)
 		}

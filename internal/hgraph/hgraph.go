@@ -7,7 +7,9 @@
 //     H-distance k, k = ⌈d/3⌉.
 //   - G = H ∪ L: the small-world network the protocol runs on, built by
 //     growing every node's H-ball level by level in a row bitmap
-//     (BuildGWith).
+//     (BuildGWith). Only Algorithm 2's topology exchange reads G
+//     (Algorithm 1 floods over H), so a Network builds it on first use
+//     (Network.G), not at generation.
 //
 // It also implements the structural machinery of the analysis: the
 // locally-tree-like classification (Definitions 7–8), the node taxonomy of
@@ -25,6 +27,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -61,13 +64,57 @@ func (p Params) Canonical() Params {
 	return p
 }
 
-// Network is a generated instance of the paper's model.
+// Network is a generated instance of the paper's model. H, K and the IDs
+// are its state; G = H ∪ L is derived from H and K on the first call to
+// G or GWith and kept, so a network whose runs never read G never pays
+// for the closure. A Network is safe for concurrent use once built: the
+// sweep cache shares one instance across jobs, and concurrent first
+// callers of G share one build.
 type Network struct {
 	Params Params
 	H      *graph.Graph // the d-regular expander (multigraph)
-	G      *graph.Graph // H ∪ L as a simple graph
 	K      int          // lattice radius actually used
 	IDs    []uint64     // distinct node IDs from a large space
+
+	gOnce sync.Once
+	g     atomic.Pointer[graph.Graph] // H ∪ L as a simple graph, once built
+}
+
+// Restore reassembles a stored network from its state. g is the stored
+// G, or nil to build it on first use; the caller vouches that a non-nil
+// g is H's closure at radius k (the topology store checks its CSR shape
+// and checksum).
+func Restore(p Params, h *graph.Graph, k int, ids []uint64, g *graph.Graph) *Network {
+	net := &Network{Params: p, H: h, K: k, IDs: ids}
+	if g != nil {
+		net.gOnce.Do(func() { net.g.Store(g) })
+	}
+	return net
+}
+
+// G returns the lattice network G = H ∪ L as a simple graph, building it
+// on the first call.
+func (net *Network) G() *graph.Graph { return net.GWith(nil) }
+
+// BuiltG returns G if it has been built (or restored), else nil; it never
+// builds. The topology store writes G only when it is built.
+func (net *Network) BuiltG() *graph.Graph { return net.g.Load() }
+
+// GWith is G building on the caller's pool if this call is the one that
+// builds G; a nil pool means a transient one for large networks (see
+// parallelGenThreshold) and a serial build otherwise. Concurrent callers
+// block until the build finishes. The pool is borrowed for the duration
+// of the call only, and per sim.Pool's contract the caller must not use
+// it concurrently.
+func (net *Network) GWith(pool *sim.Pool) *graph.Graph {
+	net.gOnce.Do(func() {
+		if pool == nil && net.H.N() >= parallelGenThreshold && runtime.GOMAXPROCS(0) > 1 {
+			pool = sim.NewPool(0)
+			defer pool.Close()
+		}
+		net.g.Store(BuildGWith(net.H, net.K, pool))
+	})
+	return net.g.Load()
 }
 
 // Validate checks parameter sanity.
@@ -129,6 +176,10 @@ func BuildG(h *graph.Graph, k int) *graph.Graph {
 // same sorted rows), pinned by the golden network digest tests.
 func BuildGWith(h *graph.Graph, k int, pool *sim.Pool) *graph.Graph {
 	n := h.N()
+	// No H-distance exceeds n-1, so every ball is complete by level n-1:
+	// the bound leaves G unchanged, and a huge K (which neither Validate
+	// nor the codec rejects) costs at most n-1 levels.
+	k = min(k, n-1)
 	if k <= 0 {
 		// A radius-0 ball is just {v}: G has no edges (matching the
 		// reference builder; New never passes 0, which canonicalizes to
@@ -300,31 +351,17 @@ func AssignIDs(n int, src *rng.Source) []uint64 {
 	return ids
 }
 
-// parallelGenThreshold is the node count below which New runs the
-// lattice closure serially instead of on a transient worker pool. Below
-// it the closure takes milliseconds on one core (BenchmarkBuildG: about
-// 2 ms at n = 512 and 9–13 ms at n = 2048), and callers that generate
-// many small networks parallelize across networks instead: the sweep
-// cache generates through NewWith under its per-job worker budget.
+// parallelGenThreshold is the node count below which a Network builds G
+// serially instead of on a transient worker pool when its caller brings
+// no pool. Below it the closure takes milliseconds on one core
+// (BenchmarkBuildG: about 2 ms at n = 512 and 9–13 ms at n = 2048). The
+// engine's exchange brings the run's own pool, so a sweep keeps its
+// per-job worker budget.
 const parallelGenThreshold = 4096
 
-// New generates a full network instance from params. Large instances
-// parallelize the lattice closure over a transient worker pool; callers
-// generating many networks (the sweep cache, netgen -pregen) can amortize
-// pool start-up across generations with NewWith.
+// New generates a network instance from params: H, K and the IDs. G is
+// built on first use (Network.G).
 func New(p Params) (*Network, error) {
-	if p.N >= parallelGenThreshold && runtime.GOMAXPROCS(0) > 1 {
-		pool := sim.NewPool(0)
-		defer pool.Close()
-		return NewWith(p, pool)
-	}
-	return NewWith(p, nil)
-}
-
-// NewWith is New running the lattice closure on the caller's pool (nil
-// runs serially). The pool is borrowed for the duration of the call only;
-// per sim.Pool's contract the caller must not use it concurrently.
-func NewWith(p Params, pool *sim.Pool) (*Network, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -334,18 +371,24 @@ func NewWith(p Params, pool *sim.Pool) (*Network, error) {
 	}
 	src := rng.Split(p.Seed, 0x48475248) // "HGRH"
 	h := GenerateH(p.N, p.D, src)
-	g := BuildGWith(h, k, pool)
 	ids := AssignIDs(p.N, rng.Split(p.Seed, 0x49445350)) // "IDSP"
-	return &Network{Params: p, H: h, G: g, K: k, IDs: ids}, nil
+	return &Network{Params: p, H: h, K: k, IDs: ids}, nil
+}
+
+// NewWith is New, keeping the signature its callers use. pool goes
+// unused because generation does not build G; Network.GWith builds G on
+// a caller's pool.
+func NewWith(p Params, pool *sim.Pool) (*Network, error) {
+	return New(p)
 }
 
 // NewReference generates a network with the pre-fast-path generator: the
-// Builder-based lattice closure and the map-based ID set, exactly as the
-// seed engine shipped them. It exists as the oracle the fast path is
-// pinned against — the golden digest tests assert NewReference and New
-// agree bit-for-bit across a parameter grid, and cmd/bench measures both
-// so every trajectory entry records the generation speedup on the same
-// machine.
+// Builder-based lattice closure, run eagerly, and the map-based ID set,
+// exactly as the seed engine shipped them. It exists as the oracle the
+// fast path is pinned against — the golden digest tests assert
+// NewReference and New agree bit-for-bit across a parameter grid, and
+// cmd/bench measures both so every trajectory entry records the
+// generation speedup on the same machine.
 func NewReference(p Params) (*Network, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -356,9 +399,10 @@ func NewReference(p Params) (*Network, error) {
 	}
 	src := rng.Split(p.Seed, 0x48475248) // "HGRH"
 	h := GenerateH(p.N, p.D, src)
-	g := buildGReference(h, k)
-	ids := assignIDsReference(p.N, rng.Split(p.Seed, 0x49445350)) // "IDSP"
-	return &Network{Params: p, H: h, G: g, K: k, IDs: ids}, nil
+	net := &Network{Params: p, H: h, K: k}
+	net.gOnce.Do(func() { net.g.Store(buildGReference(h, k)) })
+	net.IDs = assignIDsReference(p.N, rng.Split(p.Seed, 0x49445350)) // "IDSP"
+	return net, nil
 }
 
 // buildGReference is the seed lattice closure: per-node balls appended to
@@ -400,7 +444,8 @@ func assignIDsReference(n int, src *rng.Source) []uint64 {
 // SHA-256 over K, both graphs' CSR arrays, and the ID vector. Two
 // networks with equal digests are structurally identical to the engine
 // (same tables, same IDs), which is what the golden generator-identity
-// tests and the topology store's round-trip tests pin.
+// tests and the topology store's round-trip tests pin. It builds G if
+// no caller has yet.
 func (net *Network) Digest() string {
 	h := sha256.New()
 	var b [8]byte
@@ -409,7 +454,7 @@ func (net *Network) Digest() string {
 		h.Write(b[:])
 	}
 	put(uint64(net.K))
-	for _, g := range []*graph.Graph{net.H, net.G} {
+	for _, g := range []*graph.Graph{net.H, net.G()} {
 		off, adj := g.CSR()
 		put(uint64(len(off)))
 		for _, v := range off {
@@ -619,6 +664,7 @@ func Classify(net *Network, byz []bool, delta float64) *Taxonomy {
 	// nodes marks BUS. One distance vector serves both passes (re-zeroed
 	// between them) — the second pass's sources are a superset, so the
 	// marking order is unaffected.
+	g := net.G()
 	dist := make([]int32, n)
 	markWithin := func(sources []int32, out []bool) int {
 		for i := range dist {
@@ -636,7 +682,7 @@ func Classify(net *Network, byz []bool, delta float64) *Taxonomy {
 			if int(dist[v]) >= radius {
 				continue
 			}
-			for _, w := range net.G.Neighbors(int(v)) {
+			for _, w := range g.Neighbors(int(v)) {
 				if dist[w] == graph.Unreached {
 					dist[w] = dist[v] + 1
 					queue = append(queue, w)

@@ -88,7 +88,7 @@ func TestGDegreeBounded(t *testing.T) {
 	p := Params{N: 500, D: 8, Seed: 5}
 	net := MustNew(p)
 	bound := int(math.Pow(float64(p.D-1), float64(net.K+1)))
-	stats := net.G.Degrees()
+	stats := net.G().Degrees()
 	if stats.Max >= bound {
 		t.Fatalf("max G-degree %d >= bound %d", stats.Max, bound)
 	}
@@ -130,7 +130,7 @@ func TestNewDeterministic(t *testing.T) {
 	p := Params{N: 128, D: 8, Seed: 42}
 	a := MustNew(p)
 	b := MustNew(p)
-	if a.H.NumEdges() != b.H.NumEdges() || a.G.NumEdges() != b.G.NumEdges() {
+	if a.H.NumEdges() != b.H.NumEdges() || a.G().NumEdges() != b.G().NumEdges() {
 		t.Fatal("same seed produced different networks")
 	}
 	for v := 0; v < p.N; v++ {

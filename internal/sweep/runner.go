@@ -67,9 +67,14 @@ type Options struct {
 // StageTimes partitions one job's wall-clock time across the runner's
 // stages, as observed by the job's worker. CacheLookup is the full
 // GetTopologyInfo call — including time blocked on another worker's
-// in-flight load — while Generate and DiskLoad are attributed only to
+// in-flight load and the write-back of a network the lookup evicted
+// (NetCache.keepG) — while Generate and DiskLoad are attributed only to
 // the job that performed the work (TierInfo.Creator), so summed stage
-// totals never double count a shared generation. Purely observational;
+// totals never double count a shared generation. Generate covers H, K
+// and the IDs only: the lattice network G is built by the first
+// Algorithm 2 run on a network (core's topology exchange), so that run's
+// Run includes the build, and a concurrent run on the same network
+// counts its wait for that build in Run too. Purely observational;
 // absent from stored Records, so existing JSONL stores and job keys are
 // byte-identical with telemetry enabled.
 type StageTimes struct {
@@ -140,12 +145,6 @@ func (o Options) withDefaults() Options {
 		// caller-supplied cache keeps whatever binding its owner chose.
 		o.Cache.SetTelemetry(o.Telemetry)
 	}
-	// Regenerations on cache misses respect the same machine division as
-	// the runs themselves: RunWorkers of parallelism per job worker, not
-	// a full-machine pool per miss.
-	o.Cache.mu.Lock()
-	o.Cache.genWorkers = o.RunWorkers
-	o.Cache.mu.Unlock()
 	return o
 }
 
