@@ -96,10 +96,7 @@ const (
 
 // Round-engine selectors (Config.FrontierRounds).
 const (
-	// FrontierAuto resolves to the frontier engine unless the
-	// REPRO_FRONTIER=off environment override is set.
-	FrontierAuto = core.FrontierAuto
-	// FrontierOn forces quiescence-aware frontier scheduling.
+	// FrontierOn, the default, runs quiescence-aware frontier scheduling.
 	FrontierOn = core.FrontierOn
 	// FrontierOff forces the dense reference loop.
 	FrontierOff = core.FrontierOff
@@ -111,8 +108,8 @@ var DefaultBand = metrics.DefaultBand
 
 // NewNetwork generates a small-world network instance per the paper's
 // model (§2.1): H(n,d) from d/2 random Hamiltonian cycles, plus lattice
-// edges between all pairs within H-distance k = ⌈d/3⌉, which the network
-// builds on first use (Network.G).
+// edges between all pairs within H-distance k = ⌈d/3⌉, which Network.G
+// builds on each call.
 func NewNetwork(p Params) (*Network, error) { return hgraph.New(p) }
 
 // PlaceByzantine marks `count` uniformly random Byzantine nodes, matching

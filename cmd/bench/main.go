@@ -136,7 +136,7 @@ func cases(quick bool) []benchCase {
 			return
 		}
 		nets[n] = hgraph.MustNew(hgraph.Params{N: n, D: 8, Seed: 11})
-		nets[n].G() // built outside the timed runs, as a cached network's would be
+		nets[n].S() // counted outside the timed runs, as a cached network's would be
 		byzs[n] = hgraph.PlaceByzantine(n, hgraph.ByzantineBudget(n, 0.75), rng.New(12))
 		topos[n] = core.NewTopology(nets[n])
 	}
@@ -220,13 +220,10 @@ func cases(quick bool) []benchCase {
 		}
 	}
 
-	// Topology pipeline: cold generation on the fast path with G built
-	// (what an Algorithm 2 cache miss without a disk tier costs), the
+	// Topology pipeline: generation on the fast path with G built, the
 	// seed reference generator, which builds G eagerly (same machine, so
-	// each entry records the speedup ratio), and a disk-tier hit on a
-	// blob that carries G (what a warm store turns that miss into once
-	// the store holds G; a blob saved before any run built G is smaller
-	// and cheaper to read, but leaves the closure to the run).
+	// each entry records the speedup ratio), and a disk-tier hit (what a
+	// warm store turns a cache miss into; a blob holds no G).
 	for _, n := range genSizes {
 		n := n
 		cs = append(cs, benchCase{name: fmt.Sprintf("hgraph/gen/n=%d", n), fn: func(b *testing.B) {
@@ -245,7 +242,7 @@ func cases(quick bool) []benchCase {
 		cs = append(cs, benchCase{name: fmt.Sprintf("hgraph/gen-ref/n=%d", n), fn: func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := hgraph.NewReference(hgraph.Params{N: n, D: 8, Seed: 11}); err != nil {
+				if _, _, err := hgraph.NewReference(hgraph.Params{N: n, D: 8, Seed: 11}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -263,7 +260,6 @@ func cases(quick bool) []benchCase {
 			if err != nil {
 				b.Fatal(err)
 			}
-			net.G()
 			if err := store.Save(net, core.NewTopology(net)); err != nil {
 				b.Fatal(err)
 			}
@@ -443,9 +439,8 @@ func compare(baseline trajectory, cs []benchCase, maxRegress float64, out *strin
 
 	// Same-run topology-generation ratio: the fast path vs the in-tree
 	// seed reference, both with G built, machine-independent like the
-	// frontier ratio. The disk-tier cost of a blob with G is reported
-	// alongside (informational: it measures the page cache as much as the
-	// codec).
+	// frontier ratio. The disk-tier cost of a blob is reported alongside
+	// (informational: it measures the page cache as much as the codec).
 	for _, c := range cs {
 		if !strings.HasPrefix(c.name, "hgraph/gen/") {
 			continue

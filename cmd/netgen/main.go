@@ -96,11 +96,8 @@ func main() {
 // runPregen fills the topology store with every distinct canonical
 // (n, d, k, seed) the spec's grid expands to (or the single fallback
 // instance when no spec is given), generating missing entries in
-// parallel. A topology that an Algorithm 2 job of the grid runs on is
-// stored with its G, so sweeps load the closure instead of building it;
-// so is the fallback instance, as Algorithm 2 is the sweep default.
-// Already-present blobs are skipped, so pregen is incremental and
-// restartable.
+// parallel. Already-present blobs are skipped, so pregen is incremental
+// and restartable.
 func runPregen(specPath, storeDir string, workers int, fallback hgraph.Params) error {
 	var store *graphio.NetStore
 	if storeDir != "" {
@@ -113,13 +110,13 @@ func runPregen(specPath, storeDir string, workers int, fallback hgraph.Params) e
 	}
 
 	var params []hgraph.Params
-	needG := map[hgraph.Params]bool{} // keys: every param seen
-	add := func(p hgraph.Params, g bool) {
+	seen := map[hgraph.Params]bool{}
+	add := func(p hgraph.Params) {
 		p = p.Canonical()
-		if _, seen := needG[p]; !seen {
+		if !seen[p] {
+			seen[p] = true
 			params = append(params, p)
 		}
-		needG[p] = needG[p] || g
 	}
 	if specPath != "" {
 		spec, err := sweep.LoadSpec(specPath)
@@ -131,10 +128,10 @@ func runPregen(specPath, storeDir string, workers int, fallback hgraph.Params) e
 			return err
 		}
 		for _, j := range jobs {
-			add(j.Net, j.Algorithm == core.AlgorithmByzantine)
+			add(j.Net)
 		}
 	} else {
-		add(fallback, true)
+		add(fallback)
 	}
 
 	var todo []hgraph.Params
@@ -168,9 +165,6 @@ func runPregen(specPath, storeDir string, workers int, fallback hgraph.Params) e
 			for p := range work {
 				net, err := hgraph.New(p)
 				if err == nil {
-					if needG[p] {
-						net.G()
-					}
 					err = store.Save(net, core.NewTopology(net))
 				}
 				mu.Lock()

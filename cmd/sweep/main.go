@@ -39,8 +39,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -57,21 +55,8 @@ func main() {
 }
 
 func run() int {
+	gridSpec := sweep.GridFlags(flag.CommandLine)
 	var (
-		specPath   = flag.String("spec", "", "JSON spec file (flags below are ignored when set)")
-		sizes      = flag.String("n", "256,512", "comma-separated network sizes")
-		degrees    = flag.String("d", "8", "comma-separated H-degrees")
-		deltas     = flag.String("delta", "0.75", "comma-separated fault exponents (0 = no faults)")
-		placements = flag.String("placement", "random", "comma-separated placements (random|clustered|spread|degree|chain)")
-		advs       = flag.String("adv", "none,inflate,suppress,oracle,topology-liar,chain-faker,combo", "comma-separated adversaries")
-		algs       = flag.String("alg", "byzantine", "comma-separated algorithms (basic|byzantine)")
-		epsilons   = flag.String("eps", "0", "comma-separated error parameters (0 = default)")
-		churns     = flag.String("churn", "0", "comma-separated crash-churn fractions")
-		faults     = flag.String("fault", "crash", "comma-separated churn fault models (crash|join)")
-		joins      = flag.String("join", "0", "comma-separated join/rejoin churn fractions (join model)")
-		losses     = flag.String("loss", "0", "comma-separated per-edge message loss probabilities")
-		trials     = flag.Int("trials", 8, "trials per grid cell")
-		seed       = flag.Uint64("seed", 1, "base seed")
 		workers    = flag.Int("workers", 0, "concurrent jobs (0 = GOMAXPROCS)")
 		runWorkers = flag.Int("run-workers", 0, "sim workers per job (0 = auto)")
 		cacheCap   = flag.Int("cache", 0, "network cache capacity (0 = default)")
@@ -105,29 +90,9 @@ func run() int {
 	}
 	defer flushProfiles(*memProfile)
 
-	var spec sweep.Spec
-	if *specPath != "" {
-		spec, err = sweep.LoadSpec(*specPath)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		spec = sweep.Spec{
-			Name:        "cli",
-			Sizes:       parseInts(*sizes),
-			Degrees:     parseInts(*degrees),
-			Deltas:      parseFloats(*deltas),
-			Placements:  splitList(*placements),
-			Adversaries: splitList(*advs),
-			Algorithms:  splitList(*algs),
-			Epsilons:    parseFloats(*epsilons),
-			ChurnFracs:  parseFloats(*churns),
-			FaultModels: splitList(*faults),
-			JoinFracs:   parseFloats(*joins),
-			LossProbs:   parseFloats(*losses),
-			Trials:      *trials,
-			Seed:        *seed,
-		}
+	spec, err := gridSpec()
+	if err != nil {
+		fatal(err)
 	}
 
 	expandStart := time.Now()
@@ -316,38 +281,4 @@ func fatal(err error) {
 	}
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func parseInts(s string) []int {
-	var out []int
-	for _, part := range splitList(s) {
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			fatal(fmt.Errorf("bad integer %q: %w", part, err))
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func parseFloats(s string) []float64 {
-	var out []float64
-	for _, part := range splitList(s) {
-		v, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			fatal(fmt.Errorf("bad number %q: %w", part, err))
-		}
-		out = append(out, v)
-	}
-	return out
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"os"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -38,13 +36,9 @@ func (a Algorithm) String() string {
 type FrontierMode int
 
 const (
-	// FrontierAuto resolves to the frontier engine unless the
-	// REPRO_FRONTIER=off environment override is set (the CI test matrix
-	// uses the override to run the whole suite against the dense loop).
-	FrontierAuto FrontierMode = iota
-	// FrontierOn forces quiescence-aware frontier scheduling: only nodes
-	// whose inputs may have changed are stepped each round.
-	FrontierOn
+	// FrontierOn, the default, runs quiescence-aware frontier scheduling:
+	// only nodes whose inputs may have changed are stepped each round.
+	FrontierOn FrontierMode = iota
 	// FrontierOff forces the dense reference loop: every node is stepped
 	// every round. Byte-identical Results to FrontierOn, forever — the
 	// equivalence suite in frontier_test.go pins it.
@@ -54,8 +48,6 @@ const (
 // String implements fmt.Stringer.
 func (m FrontierMode) String() string {
 	switch m {
-	case FrontierAuto:
-		return "auto"
 	case FrontierOn:
 		return "on"
 	case FrontierOff:
@@ -63,22 +55,6 @@ func (m FrontierMode) String() string {
 	default:
 		return fmt.Sprintf("FrontierMode(%d)", int(m))
 	}
-}
-
-// frontierEnvDefault resolves FrontierAuto once per process.
-var frontierEnvDefault = sync.OnceValue(func() FrontierMode {
-	if os.Getenv("REPRO_FRONTIER") == "off" {
-		return FrontierOff
-	}
-	return FrontierOn
-})
-
-// enabled reports whether the mode selects frontier scheduling.
-func (m FrontierMode) enabled() bool {
-	if m == FrontierAuto {
-		m = frontierEnvDefault()
-	}
-	return m == FrontierOn
 }
 
 // Config parameterizes a protocol run.
@@ -125,7 +101,7 @@ type Config struct {
 	// Faults is the paper's static reliable-network regime.
 	Faults []FaultModel
 	// FrontierRounds selects the round-engine scheduling strategy. The
-	// default (FrontierAuto) runs the quiescence-aware frontier engine,
+	// default (FrontierOn) runs the quiescence-aware frontier engine,
 	// which skips nodes whose inputs cannot have changed; FrontierOff
 	// forces the dense reference loop. Both produce byte-identical
 	// Results — the toggle exists so the equivalence is testable forever.
@@ -171,7 +147,7 @@ func (c Config) Validate() error {
 	if c.Algorithm != AlgorithmBasic && c.Algorithm != AlgorithmByzantine {
 		return fmt.Errorf("core: unknown algorithm %d", c.Algorithm)
 	}
-	if c.FrontierRounds < FrontierAuto || c.FrontierRounds > FrontierOff {
+	if c.FrontierRounds < FrontierOn || c.FrontierRounds > FrontierOff {
 		return fmt.Errorf("core: unknown frontier mode %d", int(c.FrontierRounds))
 	}
 	for _, fm := range c.Faults {

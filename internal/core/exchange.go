@@ -28,43 +28,36 @@ import (
 // the paper; they can only fabricate all-Byzantine structures, which
 // Observation 6 bounds.
 func (w *World) runExchange() {
-	// The exchange is G's only reader. The first run on a network builds
-	// G on this run's pool; later runs, here or in other arenas sharing
-	// the network, find it built.
-	g := w.Net.GWith(w.pool)
-
-	// Exchange cost: every uncrashed node ships its adjacency list to all
-	// G-neighbors (constant rounds, constant-ID messages: Remark 3).
-	n := w.N()
-	d := w.Net.Params.D
-	for v := 0; v < n; v++ {
-		if !w.Byz[v] {
-			w.counters.CountMessages(g.Degree(v), (d+1)*64)
-		}
-	}
-	w.counters.CountRound()
-
-	if len(w.byzList) == 0 {
-		return
-	}
-
 	// Only nodes with a Byzantine node inside their radius-k H-ball can
 	// receive a lie; everyone else reconstructs the truth trivially. The
 	// victims and their Byzantine channels are found from the Byzantine
 	// side: one record per (victim, channel) pair, grouped by victim with
-	// a counting sort. G joins exactly the pairs within H-distance k, so
-	// b's G-row counts b's victims without a search. After the prefix sum
-	// end[v] is where v's records start; the fill advances it past them.
-	k := w.Net.K
-	gOff, gAdj := g.CSR()
+	// a counting sort. b's victims are the honest nodes of its k-ball,
+	// counted by a first BFS from b. After the prefix sum end[v] is where
+	// v's records start; the fill advances it past them.
+	n := w.N()
+	k, d := w.Net.K, w.Net.Params.D
 	end := resetSlice(w.exchEnd, n+1)
 	w.exchEnd = end
+	// Exchange cost: every uncrashed node ships its adjacency list to all
+	// G-neighbors (constant rounds, constant-ID messages: Remark 3). A
+	// node's G-neighbors are its k-ball less itself, so the honest nodes
+	// send S less the Byzantine nodes' balls.
+	sent := w.Net.S()
 	for _, b := range w.byzList {
-		for _, v := range gAdj[gOff[b]:gOff[b+1]] {
+		ball, _ := graph.BallWith(w.exchBFS, int(b), k)
+		sent -= len(ball) - 1
+		for _, v := range ball {
 			if !w.Byz[v] {
 				end[v+1]++
 			}
 		}
+	}
+	w.counters.CountMessages(sent, (d+1)*64)
+	w.counters.CountRound()
+
+	if len(w.byzList) == 0 {
+		return
 	}
 	for v := 1; v <= n; v++ {
 		end[v] += end[v-1]
@@ -107,7 +100,7 @@ func (w *World) runExchange() {
 	lo := int32(0)
 	for v := 0; v < n; v++ {
 		if hi := end[v]; hi > lo {
-			w.exchangeAtVictim(g, v, recs[lo:hi], keys)
+			w.exchangeAtVictim(v, recs[lo:hi], keys)
 			lo = hi
 		}
 	}
@@ -130,7 +123,7 @@ type claim struct {
 
 // exchangeAtVictim asks v's Byzantine channels for their claims, builds v's
 // believed ball, and applies the crash rule.
-func (w *World) exchangeAtVictim(g *graph.Graph, v int, recs []exchRec, keys []int32) {
+func (w *World) exchangeAtVictim(v int, recs []exchRec, keys []int32) {
 	// Sorting by (distance, key) asks the channels in the order a BFS
 	// from v meets them (DESIGN.md §1): stateful adversaries draw their
 	// claims from a stream.
@@ -159,7 +152,7 @@ func (w *World) exchangeAtVictim(g *graph.Graph, v int, recs []exchRec, keys []i
 		return // everyone reported truthfully; reconstruction is exact
 	}
 
-	if !w.claimedBallConsistent(g, v, claims) {
+	if !w.claimedBallConsistent(v, claims) {
 		w.crashed[v] = true
 		return
 	}
@@ -172,33 +165,28 @@ func (w *World) exchangeAtVictim(g *graph.Graph, v int, recs []exchRec, keys []i
 
 // claimedBallConsistent runs v's BFS over the claimed topology to radius
 // k and reports whether every adjacency list it expands passes the crash
-// rule. v's channel set (g's row of v, plus v) is stamped in exchChan,
-// claimers in exchClaimEpoch (their claim index in exchClaimIdx) and
-// reached nodes in exchSeen, all with the current exchEpoch, so no
-// per-victim state needs clearing.
-func (w *World) claimedBallConsistent(g *graph.Graph, v int, claims []claim) bool {
+// rule. Claimers are stamped in exchClaimEpoch (their claim index in
+// exchClaimIdx) and reached nodes in exchSeen, all with the current
+// exchEpoch, so no per-victim state needs clearing. The rule is a
+// conjunction, so the order of its checks changes no outcome: the
+// phantom check, the only one that needs v's channel set, runs last,
+// over every node the BFS reached, and only for a ball that passed the
+// others.
+func (w *World) claimedBallConsistent(v int, claims []claim) bool {
 	n := w.N()
 	if len(w.exchSeen) != n {
 		w.exchSeen = make([]int32, n)
-		w.exchChan = make([]int32, n)
 		w.exchClaimEpoch = make([]int32, n)
 		w.exchClaimIdx = make([]int32, n)
 		w.exchEpoch = 0
 	}
 	if w.exchEpoch == math.MaxInt32 {
 		clear(w.exchSeen)
-		clear(w.exchChan)
 		clear(w.exchClaimEpoch)
 		w.exchEpoch = 0
 	}
 	w.exchEpoch++
 	ep := w.exchEpoch
-	gOff, gAdj := g.CSR()
-	channel := w.exchChan
-	channel[v] = ep
-	for _, y := range gAdj[gOff[v]:gOff[v+1]] {
-		channel[y] = ep
-	}
 	for i, c := range claims {
 		w.exchClaimEpoch[c.node] = ep
 		w.exchClaimIdx[c.node] = int32(i)
@@ -237,8 +225,8 @@ bfs:
 		}
 		xClaimed := w.exchClaimEpoch[x] == ep
 		for _, y := range adj {
-			if y < 0 || int(y) >= n || channel[y] != ep {
-				ok = false // phantom: claimed within distance k, no channel
+			if y < 0 || int(y) >= n {
+				ok = false // names no node at all
 				break bfs
 			}
 			// Between two truthful reporters H's symmetry already
@@ -254,5 +242,17 @@ bfs:
 		}
 	}
 	w.exchQueue = queue
-	return ok
+	if !ok {
+		return false
+	}
+	// v has a G-channel to every node of its k-ball in H, and to no other
+	// node: a reached node outside the ball is a phantom, claimed within
+	// distance k with no channel to confirm it.
+	_, dist := graph.BallWith(w.exchBFS, v, k)
+	for _, y := range queue {
+		if dist[y] == graph.Unreached {
+			return false
+		}
+	}
+	return true
 }

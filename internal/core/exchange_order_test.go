@@ -23,12 +23,12 @@ func (r *claimRecorder) ClaimHNeighbors(_ *World, b, v int) []int32 {
 // TestExchangeClaimOrderMatchesVictimBFS pins the exchange's claim order
 // and channel set to their definitions: victims ascending and, for each,
 // its Byzantine channels in the order a BFS from the victim reaches them;
-// and G's row of v plus v is exactly v's radius-K ball in H. The exchange
-// orders a victim's channels from the Byzantine side, by distance and
-// then by the victim's least row-index path, and reads the channel set
-// from G's row. The grid has parallel edges (small n at d = 4), balls
-// that cover the whole network (large K), and dense placements; one arena
-// runs it all, so its slabs are reused across sizes too.
+// and G's row of v plus v is exactly v's radius-K ball in H, the channel
+// set the exchange reads from that ball. The exchange orders a victim's
+// channels from the Byzantine side, by distance and then by the victim's
+// least row-index path. The grid has parallel edges (small n at d = 4),
+// balls that cover the whole network (large K), and dense placements;
+// one arena runs it all, so its slabs are reused across sizes too.
 func TestExchangeClaimOrderMatchesVictimBFS(t *testing.T) {
 	rec := &claimRecorder{}
 	w := NewWorld()
@@ -49,6 +49,7 @@ func TestExchangeClaimOrderMatchesVictimBFS(t *testing.T) {
 						t.Fatal(err)
 					}
 					scratch := graph.NewBFS(net.H)
+					g := net.G()
 					order, start = order[:0], start[:0]
 					for v := 0; v < n; v++ {
 						nodes, dist := graph.BallWith(scratch, v, k)
@@ -57,7 +58,7 @@ func TestExchangeClaimOrderMatchesVictimBFS(t *testing.T) {
 						// A strictly ascending row of nodes at distance
 						// 1..k, one shorter than the ball, is the ball
 						// without v.
-						row := net.G().Neighbors(v)
+						row := g.Neighbors(v)
 						ok := len(row)+1 == len(nodes)
 						for i, y := range row {
 							ok = ok && dist[y] >= 1 && (i == 0 || row[i-1] < y)

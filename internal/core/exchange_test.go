@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/hgraph"
 	"repro/internal/rng"
 )
@@ -141,6 +143,69 @@ func TestExchangePhantomCrashes(t *testing.T) {
 		if !w.Byz[nb] && !w.crashed[nb] {
 			t.Fatalf("neighbor %d accepted a phantom claim", nb)
 		}
+	}
+}
+
+// TestExchangePhantomCrashesUnderConsistentRewiring: four Byzantine nodes
+// rewire two real edges among themselves, b1–b2 and b3–b4, into b1–b3
+// and b2–b4, and report the rewired topology to a victim v whose k-ball
+// holds all four. Every claimed edge is confirmed by its other endpoint
+// and every list has d entries, but b1 is one hop from v and b3 is k
+// hops away, so the fake edge b1–b3 brings b3's neighbours at distance
+// k+1 within claimed distance k. They are phantoms, outside v's channel
+// set, and only the channel check catches them.
+func TestExchangePhantomCrashesUnderConsistentRewiring(t *testing.T) {
+	const n = 256
+	net, err := hgraph.New(hgraph.Params{N: n, D: 8, Seed: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, h := net.K, net.H
+	scratch := graph.NewBFS(h)
+	find := func() (int, [4]int32) {
+		for v := 0; v < n; v++ {
+			ball, dist := graph.BallWith(scratch, v, k+1)
+			inBall := func(x int32) bool { return x != int32(v) && dist[x] >= 1 && int(dist[x]) <= k }
+			for _, b1 := range h.UniqueNeighbors(v) {
+				for _, b2 := range h.UniqueNeighbors(int(b1)) {
+					if !inBall(b2) || b2 == b1 {
+						continue
+					}
+					for _, b3 := range ball {
+						if int(dist[b3]) != k || b3 == b1 || b3 == b2 || h.HasEdge(int(b1), int(b3)) {
+							continue
+						}
+						far := false
+						for _, z := range h.Neighbors(int(b3)) {
+							far = far || int(dist[z]) == k+1
+						}
+						for _, b4 := range h.UniqueNeighbors(int(b3)) {
+							if far && inBall(b4) && b4 != b1 && b4 != b2 && !h.HasEdge(int(b2), int(b4)) {
+								return v, [4]int32{b1, b2, b3, b4}
+							}
+						}
+					}
+				}
+			}
+		}
+		t.Fatal("no victim with two Byzantine edges to rewire")
+		return 0, [4]int32{}
+	}
+	v, b := find()
+	rewire := func(x, from, to int32) []int32 {
+		claim := slices.Clone(h.Neighbors(int(x)))
+		claim[slices.Index(claim, from)] = to
+		return claim
+	}
+	adv := &scriptedLiar{claims: map[int][]int32{
+		int(b[0]): rewire(b[0], b[1], b[2]),
+		int(b[1]): rewire(b[1], b[0], b[3]),
+		int(b[2]): rewire(b[2], b[3], b[0]),
+		int(b[3]): rewire(b[3], b[2], b[1]),
+	}}
+	w, _ := exchangeWorld(t, n, []int{int(b[0]), int(b[1]), int(b[2]), int(b[3])}, adv)
+	if !w.crashed[v] {
+		t.Fatalf("victim %d accepted the rewiring %v of its Byzantine channels", v, b)
 	}
 }
 

@@ -6,7 +6,8 @@ package core_test
 // the golden grid (exact SHA-256 digests under FrontierOff, matching the
 // FrontierOn digests TestGoldenResults checks), and across a randomized
 // property grid spanning placements, adversaries, fault models, loss
-// probabilities, and worker counts.
+// probabilities, worker counts, phase caps, ε and the recording options,
+// watched by an Observer.
 
 import (
 	"crypto/sha256"
@@ -45,8 +46,11 @@ func TestGoldenResultsFrontierOff(t *testing.T) {
 
 // TestFrontierDenseEquivalenceProperty sweeps a randomized grid of
 // (placement, adversary, algorithm, fault model, loss probability, worker
-// count) configurations and asserts the two engines produce identical
-// Results — field-for-field and digest-for-digest.
+// count, phase cap, ε, phase-activity and injection recording)
+// configurations and asserts the two engines produce identical Results —
+// field-for-field and digest-for-digest — and show an Observer the same
+// world after every round and phase. Outside this suite, other packages
+// reach the dense loop only through it.
 func TestFrontierDenseEquivalenceProperty(t *testing.T) {
 	placements := []string{"random", "clustered", "spread", "degree", "chain"}
 	adversaries := []string{"none", "honest", "inflate", "suppress", "oracle", "topology-liar", "chain-faker", "combo"}
@@ -72,9 +76,15 @@ func TestFrontierDenseEquivalenceProperty(t *testing.T) {
 		workers := 1 + src.Intn(3)
 
 		cfg := core.Config{
-			Algorithm: algorithm,
-			Seed:      netSeed + 7,
-			Workers:   workers,
+			Algorithm:           algorithm,
+			Seed:                netSeed + 7,
+			Workers:             workers,
+			MaxPhase:            []int{0, 0, 4, 9}[src.Intn(4)], // 0: the default cap
+			Epsilon:             []float64{0, 0, 0.05, 0.3}[src.Intn(4)],
+			RecordPhaseActivity: src.Intn(2) == 0,
+		}
+		if src.Intn(2) == 0 {
+			cfg.InjectionThreshold = adversary.InjectBase
 		}
 		switch src.Intn(3) {
 		case 1:
@@ -95,30 +105,66 @@ func TestFrontierDenseEquivalenceProperty(t *testing.T) {
 			byz = pl.Place(net.H, byzCount, rng.New(netSeed+17))
 		}
 
-		label := fmt.Sprintf("trial=%d n=%d place=%s adv=%s alg=%s byz=%d loss=%g workers=%d faults=%v",
-			trial, n, placement, advName, algorithm, byzCount, loss, workers, cfg.Faults)
+		label := fmt.Sprintf("trial=%d n=%d place=%s adv=%s alg=%s byz=%d loss=%g workers=%d faults=%v maxPhase=%d eps=%g activity=%v inject=%d",
+			trial, n, placement, advName, algorithm, byzCount, loss, workers, cfg.Faults,
+			cfg.MaxPhase, cfg.Epsilon, cfg.RecordPhaseActivity, cfg.InjectionThreshold)
 
-		runMode := func(mode core.FrontierMode) *core.Result {
+		runMode := func(mode core.FrontierMode) (*core.Result, string) {
 			adv, ok := adversary.ByName(advName)
 			if !ok {
 				t.Fatalf("unknown adversary %q", advName)
 			}
 			c := cfg
 			c.FrontierRounds = mode
+			obs := &worldHasher{h: sha256.New()}
+			c.Observer = obs
 			res, err := core.Run(net, byz, adv, c)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			return res
+			return res, hex.EncodeToString(obs.h.Sum(nil))
 		}
-		frontier := runMode(core.FrontierOn)
-		dense := runMode(core.FrontierOff)
+		frontier, frontierSeen := runMode(core.FrontierOn)
+		dense, denseSeen := runMode(core.FrontierOff)
 		if !reflect.DeepEqual(frontier, dense) {
 			t.Fatalf("%s: results diverge:\nfrontier %+v\ndense    %+v", label, frontier, dense)
 		}
 		if df, dd := resultDigest(t, frontier), resultDigest(t, dense); df != dd {
 			t.Fatalf("%s: digests diverge: %s vs %s", label, df, dd)
 		}
+		if frontierSeen != denseSeen {
+			t.Fatalf("%s: the observer saw different worlds", label)
+		}
+	}
+}
+
+// worldHasher is an Observer that hashes the world every honest-node
+// accessor shows, after every round and every phase.
+type worldHasher struct{ h hash.Hash }
+
+func (o *worldHasher) RoundEnd(w *core.World) { o.record(w, 0) }
+func (o *worldHasher) PhaseEnd(w *core.World) { o.record(w, 1) }
+
+func (o *worldHasher) record(w *core.World, at int64) {
+	var b [8]byte
+	put := func(x int64) {
+		binary.LittleEndian.PutUint64(b[:], uint64(x))
+		o.h.Write(b[:])
+	}
+	put(at)
+	put(w.GlobalRound())
+	for v := 0; v < w.N(); v++ {
+		crashed, active := int64(0), int64(0)
+		if w.IsCrashed(v) {
+			crashed = 1
+		}
+		if w.IsActive(v) {
+			active = 1
+		}
+		put(w.Held(v))
+		put(w.OwnColor(v))
+		put(int64(w.DecidedPhase(v)))
+		put(crashed<<1 | active)
 	}
 }
 

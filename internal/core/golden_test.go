@@ -125,7 +125,7 @@ func goldenAdversary(t testing.TB, gc goldenCase) core.Adversary {
 }
 
 func runGoldenCase(t testing.TB, net *hgraph.Network, gc goldenCase, workers int) *core.Result {
-	return runGoldenCaseMode(t, net, gc, workers, core.FrontierAuto)
+	return runGoldenCaseMode(t, net, gc, workers, core.FrontierOn)
 }
 
 // runGoldenCaseMode is runGoldenCase with an explicit round-engine mode

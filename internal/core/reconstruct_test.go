@@ -80,12 +80,13 @@ func TestDeriveHFromGSucceedsMoreOftenAsNGrows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := net.G()
 		src := rng.New(42)
 		const samples = 150
 		matched := 0
 		for s := 0; s < samples; s++ {
 			v := src.Intn(n)
-			ball := DeriveHFromG(net.G(), v, net.K)
+			ball := DeriveHFromG(g, v, net.K)
 			if DerivationMatches(net.H, v, ball) {
 				matched++
 			}
@@ -111,10 +112,11 @@ func TestDeriverReuseMatchesFreshCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := net.G()
 	d := NewDeriver()
 	for v := 0; v < 400; v++ {
-		reused := d.DeriveHFromG(net.G(), v, net.K)
-		fresh := DeriveHFromG(net.G(), v, net.K)
+		reused := d.DeriveHFromG(g, v, net.K)
+		fresh := DeriveHFromG(g, v, net.K)
 		if reused.Ambiguous != fresh.Ambiguous {
 			t.Fatalf("node %d: ambiguity %v vs %v", v, reused.Ambiguous, fresh.Ambiguous)
 		}
@@ -146,17 +148,18 @@ func TestDeriverReuseAllocatesLess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := net.G()
 	d := NewDeriver()
 	v := 0
-	d.DeriveHFromG(net.G(), v, net.K) // warm the slabs
+	d.DeriveHFromG(g, v, net.K) // warm the slabs
 	reused := testing.AllocsPerRun(50, func() {
 		v = (v + 17) % 2000
-		d.DeriveHFromG(net.G(), v, net.K)
+		d.DeriveHFromG(g, v, net.K)
 	})
 	v = 0
 	fresh := testing.AllocsPerRun(50, func() {
 		v = (v + 17) % 2000
-		DeriveHFromG(net.G(), v, net.K)
+		DeriveHFromG(g, v, net.K)
 	})
 	if reused >= fresh {
 		t.Fatalf("reused deriver allocates %.1f/call, fresh path %.1f/call — arena buys nothing", reused, fresh)
@@ -185,18 +188,19 @@ func TestDeriveHFromGParentEdgesAreGEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := net.G()
 	src := rng.New(1)
 	for trial := 0; trial < 10; trial++ {
 		v := src.Intn(300)
-		ball := DeriveHFromG(net.G(), v, net.K)
+		ball := DeriveHFromG(g, v, net.K)
 		for child, parent := range ball.Parent {
 			if parent == int32(v) {
-				if !net.G().HasEdge(v, int(child)) {
+				if !g.HasEdge(v, int(child)) {
 					t.Fatalf("root %d not G-adjacent to %d", child, v)
 				}
 				continue
 			}
-			if !net.G().HasEdge(int(parent), int(child)) {
+			if !g.HasEdge(int(parent), int(child)) {
 				t.Fatalf("derived parent edge (%d,%d) not in G", parent, child)
 			}
 		}

@@ -140,7 +140,7 @@ func (w *World) runSubphase(i, j int) {
 	w.adv.SubphaseStart(w)
 
 	verify := w.Cfg.Algorithm == AlgorithmByzantine
-	frontier := w.Cfg.FrontierRounds.enabled()
+	frontier := w.Cfg.FrontierRounds == FrontierOn
 	hOff, hAdj := w.topo.hOff, w.topo.hAdj
 	rev := w.topo.rev
 	for t := 1; t <= i; t++ {

@@ -109,10 +109,11 @@ type World struct {
 	// victim, and exchEnd[v] is where v's records end; exchKeys holds
 	// their keys, k entries per record. All three are sized by a counting
 	// pass and reused across runs. The claimed-topology BFS stamps the
-	// victim's channel set (exchChan), the nodes it reaches (exchSeen) and
-	// the victim's claimers (exchClaimEpoch, with their index into
-	// exchClaims in exchClaimIdx) with exchEpoch, one epoch per victim
-	// that heard a claim, so nothing is cleared between victims or runs.
+	// nodes it reaches (exchSeen) and the victim's claimers
+	// (exchClaimEpoch, with their index into exchClaims in exchClaimIdx)
+	// with exchEpoch, one epoch per victim that heard a claim, so nothing
+	// is cleared between victims or runs; a victim whose claimed ball
+	// passes that BFS gets its channel set, its own k-ball, from exchBFS.
 	exchBFS        *graph.BFS
 	exchEnd        []int32
 	exchRecs       []exchRec
@@ -121,7 +122,6 @@ type World struct {
 	exchQueue      []int32
 	exchEpoch      int32
 	exchSeen       []int32
-	exchChan       []int32
 	exchClaimEpoch []int32
 	exchClaimIdx   []int32
 

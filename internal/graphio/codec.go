@@ -2,18 +2,14 @@ package graphio
 
 // codec.go is the versioned binary network codec behind the persistent
 // topology store: one self-contained blob per generated instance holding
-// the hgraph.Network's state (params, H, IDs), its lattice network G if
-// G has been built, and the engine's precomputed core.Topology tables
-// (the reverse-edge index), so a store hit skips generation and table
-// construction. G = H ∪ L is derived from H and only Algorithm 2 reads
-// it, so a network saved before any run read it — every save right
-// after generation — carries no G (an n = 2048, d = 8 blob is 155,720
-// bytes; with G, 3,513,812), and a network loaded without one builds it
-// on first use. Writing G once it is built is what keeps the store
-// worth a disk hit to Algorithm 2: the closure costs about four times
-// the read of G's CSR at n = 16384.
+// the hgraph.Network's state (params, H, IDs) and the engine's
+// precomputed core.Topology tables (the reverse-edge index), so a store
+// hit skips generation and table construction. The lattice network G =
+// H ∪ L is derived from H and never stored: the engine needs only its
+// adjacency length, which a loaded network counts from H on first use
+// (hgraph.Network.S). An n = 2048, d = 8 blob is 155,712 bytes.
 //
-// Format v2, all little-endian:
+// Format v3, all little-endian:
 //
 //	magic   [4]byte  "BZNT"
 //	version u16      CodecVersion
@@ -21,21 +17,18 @@ package graphio
 //	params  4×u64    N, D, K, Seed (as generated; K may be 0 = default)
 //	netK    u64      resolved lattice radius
 //	hLen    u64      len(H adjacency)
-//	gLen    u64      len(G adjacency); 0 means the blob carries no G
 //	payload          H offsets (N+1 × i32), H adj (hLen × i32),
-//	                 G offsets (N+1 × i32), G adj (gLen × i32) if gLen > 0,
 //	                 IDs (N × u64), rev (hLen × i32)
 //	crc     u32      CRC-32C (Castagnoli) over everything above
 //
-// v2 is v1 with G optional. A G with no entries, were one built, is
-// written as no G and rebuilt for free, so gLen = 0 loses nothing.
+// v3 is v2 without G's length field and its optional G section.
 //
 // The reader is fuzzed (FuzzReadNetwork): truncation, bit flips, version
 // skew, and fabricated lengths must produce errors, never panics or
-// unbounded allocation — length fields are only trusted chunk by chunk
-// as the bytes actually arrive, and every structural invariant is
-// re-validated (graph.FromCSR, core.TopologyFromRev) before anything is
-// handed to the engine.
+// unbounded allocation — the header's implied size must equal the
+// blob's real size before anything is allocated, and every structural
+// invariant is re-validated (graph.FromCSR, core.TopologyFromRev) before
+// anything is handed to the engine.
 
 import (
 	"encoding/binary"
@@ -53,13 +46,13 @@ import (
 // CodecVersion is the current binary format version. Bump it on any
 // format change: the store namespaces its files by version, so old blobs
 // are simply never opened rather than misparsed.
-const CodecVersion = 2
+const CodecVersion = 3
 
 var netMagic = [4]byte{'B', 'Z', 'N', 'T'}
 
-// headerLen is the encoded header size: magic, version, flags and seven
+// headerLen is the encoded header size: magic, version, flags and six
 // u64 fields.
-const headerLen = 4 + 2 + 2 + 7*8
+const headerLen = 4 + 2 + 2 + 6*8
 
 // maxCodecNodes caps the node count a blob may claim, far above any
 // simulated scale but low enough that header-derived allocations stay
@@ -72,8 +65,7 @@ var ErrCodecVersion = errors.New("graphio: network blob codec version mismatch")
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // WriteNetwork encodes net (and its engine tables; topo may be nil to
-// derive them here) to w in the binary codec format. It writes G only if
-// net has built it (hgraph.Network.BuiltG); it never builds G.
+// derive them here) to w in the binary codec format.
 func WriteNetwork(w io.Writer, net *hgraph.Network, topo *core.Topology) error {
 	if topo == nil {
 		topo = core.NewTopology(net)
@@ -81,10 +73,6 @@ func WriteNetwork(w io.Writer, net *hgraph.Network, topo *core.Topology) error {
 		return fmt.Errorf("graphio: topology belongs to a different network")
 	}
 	hOff, hAdj := net.H.CSR()
-	var gOff, gAdj []int32
-	if g := net.BuiltG(); g != nil {
-		gOff, gAdj = g.CSR()
-	}
 
 	crc := crc32.New(crcTable)
 	out := io.MultiWriter(w, crc)
@@ -95,7 +83,7 @@ func WriteNetwork(w io.Writer, net *hgraph.Network, topo *core.Topology) error {
 	binary.LittleEndian.PutUint16(hdr[6:8], 0)
 	for i, v := range []uint64{
 		uint64(net.Params.N), uint64(net.Params.D), uint64(net.Params.K),
-		net.Params.Seed, uint64(net.K), uint64(len(hAdj)), uint64(len(gAdj)),
+		net.Params.Seed, uint64(net.K), uint64(len(hAdj)),
 	} {
 		binary.LittleEndian.PutUint64(hdr[8+8*i:], v)
 	}
@@ -103,7 +91,7 @@ func WriteNetwork(w io.Writer, net *hgraph.Network, topo *core.Topology) error {
 		return err
 	}
 	buf := make([]byte, encodeChunk*4)
-	for _, s := range [][]int32{hOff, hAdj, gOff, gAdj} {
+	for _, s := range [][]int32{hOff, hAdj} {
 		if err := writeI32s(out, s, buf); err != nil {
 			return err
 		}
@@ -165,38 +153,19 @@ func (cr *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ReadNetwork decodes a network blob written by WriteNetwork, returning
-// the network and its reassembled engine tables. Every failure mode of a
-// damaged blob — truncation, flipped bits, version skew, trailing
-// garbage, fabricated structure — returns an error; the function never
-// panics on any input, and allocates only as bytes actually arrive.
-func ReadNetwork(r io.Reader) (*hgraph.Network, *core.Topology, error) {
-	return readNetwork(r, -1)
-}
-
-// ReadNetworkSized is ReadNetwork for callers that know the blob's total
-// byte size (the store stats its files): the header's implied size must
-// match exactly — rejecting length lies before any allocation — which in
-// turn licenses allocating every array at its final size instead of
-// growing defensively. This is the store's hot path; a disk hit's cost
-// is mostly this function.
+// ReadNetworkSized decodes a network blob written by WriteNetwork, of
+// size bytes in total (the store stats its files), returning the network
+// and its reassembled engine tables. The header's implied size must
+// match size exactly — rejecting length lies before any allocation —
+// which licenses allocating every array at its final size. Every failure
+// mode of a damaged blob — truncation, flipped bits, version skew,
+// trailing garbage, fabricated structure — returns an error; the
+// function never panics on any input. This is the store's hot path; a
+// disk hit's cost is mostly this function.
 func ReadNetworkSized(r io.Reader, size int64) (*hgraph.Network, *core.Topology, error) {
 	if size < 0 {
 		return nil, nil, fmt.Errorf("graphio: negative blob size")
 	}
-	return readNetwork(r, size)
-}
-
-// blobSize returns the exact encoded size implied by the header fields.
-func blobSize(n, hLen, gLen uint64) int64 {
-	size := headerLen + 4*int64(n+1+2*hLen) + 8*int64(n) + 4
-	if gLen > 0 {
-		size += 4 * int64(n+1+gLen)
-	}
-	return size
-}
-
-func readNetwork(r io.Reader, size int64) (*hgraph.Network, *core.Topology, error) {
 	cr := &crcReader{r: r, crc: crc32.New(crcTable)}
 
 	var hdr [headerLen]byte
@@ -212,12 +181,12 @@ func readNetwork(r io.Reader, size int64) (*hgraph.Network, *core.Topology, erro
 	if f := binary.LittleEndian.Uint16(hdr[6:8]); f != 0 {
 		return nil, nil, fmt.Errorf("graphio: unknown network blob flags %#x", f)
 	}
-	var fields [7]uint64
+	var fields [6]uint64
 	for i := range fields {
 		fields[i] = binary.LittleEndian.Uint64(hdr[8+8*i:])
 	}
 	n, d, k, seed := fields[0], fields[1], fields[2], fields[3]
-	netK, hLen, gLen := fields[4], fields[5], fields[6]
+	netK, hLen := fields[4], fields[5]
 	if n < 3 || n > maxCodecNodes {
 		return nil, nil, fmt.Errorf("graphio: network blob claims %d nodes", n)
 	}
@@ -231,44 +200,29 @@ func readNetwork(r io.Reader, size int64) (*hgraph.Network, *core.Topology, erro
 	if netK != uint64(p.Canonical().K) {
 		return nil, nil, fmt.Errorf("graphio: blob lattice radius %d does not match params", netK)
 	}
-	const maxAdj = 1 << 31
-	if hLen >= maxAdj || gLen >= maxAdj {
+	if hLen >= 1<<31 {
 		return nil, nil, fmt.Errorf("graphio: network blob claims oversized adjacency")
 	}
-	// With a known total size, the header's implied size must match it
-	// exactly — after which every length is proven backed by real bytes
-	// and arrays can be allocated at final size (no defensive growth).
-	exact := false
-	if size >= 0 {
-		if want := blobSize(n, hLen, gLen); want != size {
-			return nil, nil, fmt.Errorf("graphio: network blob is %d bytes, header implies %d", size, want)
-		}
-		exact = true
+	// The header's implied size must match the real one, after which
+	// every length is proven backed by real bytes.
+	if want := blobSize(n, hLen); want != size {
+		return nil, nil, fmt.Errorf("graphio: network blob is %d bytes, header implies %d", size, want)
 	}
 
-	buf := make([]byte, 8*min(max(uint64(n), hLen, gLen)+1, encodeChunk))
-	hOff, err := readI32s(cr, int(n)+1, exact, buf)
+	buf := make([]byte, 8*min(max(n, hLen)+1, encodeChunk))
+	hOff, err := readI32s(cr, int(n)+1, buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	hAdj, err := readI32s(cr, int(hLen), exact, buf)
+	hAdj, err := readI32s(cr, int(hLen), buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	var gOff, gAdj []int32
-	if gLen > 0 {
-		if gOff, err = readI32s(cr, int(n)+1, exact, buf); err != nil {
-			return nil, nil, err
-		}
-		if gAdj, err = readI32s(cr, int(gLen), exact, buf); err != nil {
-			return nil, nil, err
-		}
-	}
-	ids, err := readU64s(cr, int(n), exact, buf)
+	ids, err := readU64s(cr, int(n), buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	rev, err := readI32s(cr, int(hLen), exact, buf)
+	rev, err := readI32s(cr, int(hLen), buf)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -291,13 +245,7 @@ func readNetwork(r io.Reader, size int64) (*hgraph.Network, *core.Topology, erro
 	if err != nil {
 		return nil, nil, fmt.Errorf("graphio: blob H graph: %w", err)
 	}
-	var g *graph.Graph
-	if gLen > 0 {
-		if g, err = graph.FromCSR(gOff, gAdj); err != nil {
-			return nil, nil, fmt.Errorf("graphio: blob G graph: %w", err)
-		}
-	}
-	net := hgraph.Restore(p, h, int(netK), ids, g)
+	net := &hgraph.Network{Params: p, H: h, K: int(netK), IDs: ids}
 	topo, err := core.TopologyFromRev(net, rev)
 	if err != nil {
 		return nil, nil, err
@@ -305,65 +253,40 @@ func readNetwork(r io.Reader, size int64) (*hgraph.Network, *core.Topology, erro
 	return net, topo, nil
 }
 
-// readI32s decodes count little-endian int32s. With exact (the caller
-// proved the bytes exist against the blob's real size) the slice is
-// allocated at final size once; otherwise it grows only as bytes
-// actually arrive, so a fabricated length cannot balloon memory.
-func readI32s(r io.Reader, count int, exact bool, buf []byte) ([]int32, error) {
-	if count < 0 {
-		return nil, fmt.Errorf("graphio: negative length")
-	}
-	capHint := min(count, encodeChunk)
-	if exact {
-		capHint = count
-	}
-	out := make([]int32, 0, capHint)
-	for len(out) < count {
-		n := min(count-len(out), len(buf)/4)
+// blobSize returns the exact encoded size implied by the header fields.
+func blobSize(n, hLen uint64) int64 {
+	return headerLen + 4*int64(n+1+2*hLen) + 8*int64(n) + 4
+}
+
+// readI32s decodes count little-endian int32s, which the caller has
+// proved the blob holds, into a slice allocated at its final size.
+func readI32s(r io.Reader, count int, buf []byte) ([]int32, error) {
+	out := make([]int32, count)
+	for done := 0; done < count; {
+		n := min(count-done, len(buf)/4)
 		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
 			return nil, fmt.Errorf("graphio: network blob truncated: %w", err)
 		}
-		if exact {
-			base := len(out)
-			out = out[:base+n]
-			for i := 0; i < n; i++ {
-				out[base+i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				out = append(out, int32(binary.LittleEndian.Uint32(buf[4*i:])))
-			}
+		for i := range out[done : done+n] {
+			out[done+i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
 		}
+		done += n
 	}
 	return out, nil
 }
 
 // readU64s is readI32s for uint64 payloads.
-func readU64s(r io.Reader, count int, exact bool, buf []byte) ([]uint64, error) {
-	if count < 0 {
-		return nil, fmt.Errorf("graphio: negative length")
-	}
-	capHint := min(count, encodeChunk/2)
-	if exact {
-		capHint = count
-	}
-	out := make([]uint64, 0, capHint)
-	for len(out) < count {
-		n := min(count-len(out), len(buf)/8)
+func readU64s(r io.Reader, count int, buf []byte) ([]uint64, error) {
+	out := make([]uint64, count)
+	for done := 0; done < count; {
+		n := min(count-done, len(buf)/8)
 		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
 			return nil, fmt.Errorf("graphio: network blob truncated: %w", err)
 		}
-		if exact {
-			base := len(out)
-			out = out[:base+n]
-			for i := 0; i < n; i++ {
-				out[base+i] = binary.LittleEndian.Uint64(buf[8*i:])
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				out = append(out, binary.LittleEndian.Uint64(buf[8*i:]))
-			}
+		for i := range out[done : done+n] {
+			out[done+i] = binary.LittleEndian.Uint64(buf[8*i:])
 		}
+		done += n
 	}
 	return out, nil
 }

@@ -36,60 +36,36 @@ func encodeNetwork(t *testing.T, net *hgraph.Network, topo *core.Topology) []byt
 
 // TestNetworkCodecRoundTrip pins the codec's core contract: decode(encode(net))
 // is structurally identical — network digest, reverse-edge index, params —
-// and re-encodes to the identical bytes. A network whose G is unbuilt
-// encodes without G (blobSize with gLen 0) and loads with G unbuilt; once
-// G is built, the blob carries it and the loaded network serves it without
-// building.
+// and re-encodes to the identical bytes, and a blob is exactly the size
+// its header implies.
 func TestNetworkCodecRoundTrip(t *testing.T) {
 	for _, p := range codecGrid {
 		net := hgraph.MustNew(p)
 		topo := core.NewTopology(net)
 		blob := encodeNetwork(t, net, topo)
-		if want := blobSize(uint64(p.N), uint64(p.N*p.D), 0); int64(len(blob)) != want {
-			t.Errorf("params %+v: G-less blob is %d bytes, want %d", p, len(blob), want)
+		if want := blobSize(uint64(p.N), uint64(p.N*p.D)); int64(len(blob)) != want {
+			t.Errorf("params %+v: blob is %d bytes, want %d", p, len(blob), want)
 		}
-		got, gotTopo, err := ReadNetwork(bytes.NewReader(blob))
+		got, gotTopo, err := ReadNetworkSized(bytes.NewReader(blob), int64(len(blob)))
 		if err != nil {
-			t.Fatalf("params %+v: ReadNetwork: %v", p, err)
+			t.Fatalf("params %+v: ReadNetworkSized: %v", p, err)
 		}
-		if got.BuiltG() != nil {
-			t.Errorf("params %+v: a G-less blob loaded with G", p)
+		if got.Params != p {
+			t.Errorf("params %+v: loaded params %+v", p, got.Params)
+		}
+		if got.Digest() != net.Digest() {
+			t.Errorf("params %+v: loaded network digest differs", p)
+		}
+		if !bytes.Equal(int32Bytes(gotTopo.Rev()), int32Bytes(topo.Rev())) {
+			t.Errorf("params %+v: loaded rev differs", p)
 		}
 		if !bytes.Equal(encodeNetwork(t, got, gotTopo), blob) {
-			t.Errorf("params %+v: G-less re-encoding is not byte-identical", p)
-		}
-
-		_, gAdj := net.G().CSR()
-		gBlob := encodeNetwork(t, net, topo)
-		if want := blobSize(uint64(p.N), uint64(p.N*p.D), uint64(len(gAdj))); int64(len(gBlob)) != want {
-			t.Errorf("params %+v: blob with G is %d bytes, want %d", p, len(gBlob), want)
-		}
-		gotG, gotGTopo, err := ReadNetwork(bytes.NewReader(gBlob))
-		if err != nil {
-			t.Fatalf("params %+v: ReadNetwork with G: %v", p, err)
-		}
-		if gotG.BuiltG() == nil {
-			t.Fatalf("params %+v: a blob with G loaded without it", p)
-		}
-		for _, loaded := range []*hgraph.Network{got, gotG} {
-			if loaded.Params != p {
-				t.Errorf("params %+v: loaded params %+v", p, loaded.Params)
-			}
-			if loaded.Digest() != net.Digest() {
-				t.Errorf("params %+v: loaded network digest differs", p)
-			}
-		}
-		for _, lt := range []*core.Topology{gotTopo, gotGTopo} {
-			if !bytes.Equal(int32Bytes(lt.Rev()), int32Bytes(topo.Rev())) {
-				t.Errorf("params %+v: loaded rev differs", p)
-			}
-		}
-		if !bytes.Equal(encodeNetwork(t, gotG, gotGTopo), gBlob) {
-			t.Errorf("params %+v: re-encoding with G is not byte-identical", p)
+			t.Errorf("params %+v: re-encoding is not byte-identical", p)
 		}
 	}
-	if got := blobSize(2048, 2048*8, 0); got != 155720 {
-		t.Errorf("n = 2048, d = 8 blob without G is %d bytes, want 155720", got)
+	net := hgraph.MustNew(hgraph.Params{N: 2048, D: 8, Seed: 1})
+	if got := len(encodeNetwork(t, net, nil)); got != 155712 || blobSize(2048, 2048*8) != 155712 {
+		t.Errorf("n = 2048, d = 8 blob is %d bytes (blobSize %d), want 155712", got, blobSize(2048, 2048*8))
 	}
 }
 
@@ -184,16 +160,20 @@ func TestStoreStaleKey(t *testing.T) {
 }
 
 // TestReadNetworkRejectsDamage walks the whole corruption space the
-// reader promises to survive: truncation at every boundary class, bit
-// flips anywhere (the checksum), version skew, flag skew, trailing data.
+// reader promises to survive: truncation at every boundary class, both
+// where the stated size is the truncated one and where it is the
+// blob's (a file cut short after its size was read), bit flips anywhere
+// (the checksum), version skew, flag skew, trailing data.
 func TestReadNetworkRejectsDamage(t *testing.T) {
 	net := hgraph.MustNew(hgraph.Params{N: 24, D: 4, Seed: 5})
 	blob := encodeNetwork(t, net, nil)
 
 	t.Run("truncation", func(t *testing.T) {
 		for _, cut := range []int{0, 3, 7, 40, 59, len(blob) / 2, len(blob) - 1} {
-			if _, _, err := ReadNetwork(bytes.NewReader(blob[:cut])); err == nil {
-				t.Errorf("truncated at %d bytes: accepted", cut)
+			for _, size := range []int{cut, len(blob)} {
+				if _, _, err := ReadNetworkSized(bytes.NewReader(blob[:cut]), int64(size)); err == nil {
+					t.Errorf("truncated at %d bytes, stated size %d: accepted", cut, size)
+				}
 			}
 		}
 	})
@@ -201,7 +181,7 @@ func TestReadNetworkRejectsDamage(t *testing.T) {
 		for pos := 0; pos < len(blob); pos += 17 {
 			mut := bytes.Clone(blob)
 			mut[pos] ^= 0x20
-			if _, _, err := ReadNetwork(bytes.NewReader(mut)); err == nil {
+			if _, _, err := ReadNetworkSized(bytes.NewReader(mut), int64(len(mut))); err == nil {
 				t.Errorf("bit flip at %d: accepted", pos)
 			}
 		}
@@ -209,29 +189,31 @@ func TestReadNetworkRejectsDamage(t *testing.T) {
 	t.Run("version-skew", func(t *testing.T) {
 		mut := bytes.Clone(blob)
 		binary.LittleEndian.PutUint16(mut[4:6], CodecVersion+1)
-		if _, _, err := ReadNetwork(bytes.NewReader(mut)); !errors.Is(err, ErrCodecVersion) {
+		if _, _, err := ReadNetworkSized(bytes.NewReader(mut), int64(len(mut))); !errors.Is(err, ErrCodecVersion) {
 			t.Errorf("version skew: got %v, want ErrCodecVersion", err)
 		}
 	})
 	t.Run("flag-skew", func(t *testing.T) {
 		mut := bytes.Clone(blob)
 		binary.LittleEndian.PutUint16(mut[6:8], 1)
-		if _, _, err := ReadNetwork(bytes.NewReader(mut)); err == nil {
+		if _, _, err := ReadNetworkSized(bytes.NewReader(mut), int64(len(mut))); err == nil {
 			t.Error("unknown flags: accepted")
 		}
 	})
 	t.Run("trailing-data", func(t *testing.T) {
 		mut := append(bytes.Clone(blob), 0)
-		if _, _, err := ReadNetwork(bytes.NewReader(mut)); err == nil {
-			t.Error("trailing byte: accepted")
+		for _, size := range []int{len(blob), len(mut)} {
+			if _, _, err := ReadNetworkSized(bytes.NewReader(mut), int64(size)); err == nil {
+				t.Errorf("trailing byte, stated size %d: accepted", size)
+			}
 		}
 	})
 	t.Run("huge-claimed-length", func(t *testing.T) {
-		// A fabricated adjacency length must fail on truncation without
-		// allocating the claimed size first.
+		// A fabricated adjacency length must fail on the size check
+		// without allocating the claimed size first.
 		mut := bytes.Clone(blob)
 		binary.LittleEndian.PutUint64(mut[48:56], 1<<30)
-		if _, _, err := ReadNetwork(bytes.NewReader(mut)); err == nil {
+		if _, _, err := ReadNetworkSized(bytes.NewReader(mut), int64(len(mut))); err == nil {
 			t.Error("fabricated length: accepted")
 		}
 	})

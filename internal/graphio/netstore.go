@@ -5,8 +5,7 @@ package graphio
 // generation parameters. It is the disk tier below the sweep scheduler's
 // in-memory network LRU — a sweep (or a netgen -pregen run) pays H's
 // generation once per (n, d, k, seed) ever, not once per process. A blob
-// carries G only if G was built when it was saved (see codec.go); the
-// sweep cache writes a network back once a run has built its G.
+// holds H, the IDs and the reverse-edge index, never G (see codec.go).
 //
 // Layout: <root>/v<CodecVersion>/<sha256(params)>.net — the version
 // namespace means a codec bump simply stops finding old blobs instead of
@@ -142,8 +141,8 @@ func (s *NetStore) Load(p hgraph.Params) (*hgraph.Network, *core.Topology, error
 	if err != nil {
 		return nil, nil, err
 	}
-	// The file size licenses exact-size decoding: the header's implied
-	// size must match it, after which every array allocates once.
+	// The header's implied size must match the file's, after which every
+	// array allocates once.
 	net, topo, err := ReadNetworkSized(bufio.NewReaderSize(f, 1<<20), st.Size())
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", s.Path(p), err)

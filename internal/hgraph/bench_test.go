@@ -23,10 +23,9 @@ func BenchmarkGenerateH(b *testing.B) {
 }
 
 // BenchmarkNew measures full network generation — H plus the radius-k
-// lattice closure G = H∪L, which New leaves to the first G call — the
-// dominant fixed cost of an Algorithm 2 sweep job, which the sweep cache
-// exists to amortize. This is the fast path: the row-bitmap lattice
-// closure, timed like NewReference's eager one.
+// lattice closure G = H∪L, which New leaves to Network.G. This is the
+// fast path: the row-bitmap lattice closure, timed like NewReference's
+// eager one.
 func BenchmarkNew(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -49,7 +48,7 @@ func BenchmarkNewReference(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := NewReference(Params{N: n, D: 8, Seed: uint64(i + 1)}); err != nil {
+				if _, _, err := NewReference(Params{N: n, D: 8, Seed: uint64(i + 1)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -76,7 +75,7 @@ func BenchmarkBuildG(b *testing.B) {
 }
 
 // BenchmarkBuildGPooled measures the lattice closure alone on a worker
-// pool, the configuration netgen -pregen and multi-core sweeps run.
+// pool, as Network.G builds it from parallelGenThreshold nodes up.
 func BenchmarkBuildGPooled(b *testing.B) {
 	pool := sim.NewPool(0)
 	defer pool.Close()

@@ -67,11 +67,11 @@ func TestGoldenNetworkDigestsReference(t *testing.T) {
 	for _, tc := range goldenNetworks {
 		tc := tc
 		t.Run(tc.name(), func(t *testing.T) {
-			net, err := NewReference(tc.p)
+			net, g, err := NewReference(tc.p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := net.Digest(); got != tc.digest {
+			if got := net.digest(g); got != tc.digest {
 				t.Errorf("reference digest mismatch:\n got %s\nwant %s", got, tc.digest)
 			}
 		})
@@ -90,8 +90,7 @@ func TestGoldenNetworkDigestsWorkerInvariant(t *testing.T) {
 		defer pool.Close()
 		for _, tc := range goldenNetworks {
 			net := MustNew(tc.p)
-			net.GWith(pool)
-			if got := net.Digest(); got != tc.digest {
+			if got := net.digest(BuildGWith(net.H, net.K, pool)); got != tc.digest {
 				t.Errorf("%s with %d workers: digest %s, want %s", tc.name(), workers, got, tc.digest)
 			}
 		}
@@ -109,82 +108,71 @@ func TestBuildGRadiusEdgeCases(t *testing.T) {
 }
 
 // TestGRadiusBoundedByN: no H-distance exceeds n-1, so every K >= n-1
-// gives the same G, and the closure must stop at level n-1 rather than
-// run one level per unit of K, which neither Params.Validate nor the
-// codec bounds.
+// gives the same G and the same S, and the closure and the count must
+// stop at level n-1 rather than run one level per unit of K, which
+// neither Params.Validate nor the codec bounds.
 func TestGRadiusBoundedByN(t *testing.T) {
 	radii := []int{15, 16, 1 << 28}
 	want := buildGReference(MustNew(Params{N: 16, D: 4, Seed: 3}).H, 15)
-	gs := make(chan *graph.Graph, len(radii))
+	_, wantAdj := want.CSR()
+	type built struct {
+		g *graph.Graph
+		s int
+	}
+	nets := make(chan built, len(radii))
 	go func() {
 		for _, k := range radii {
-			gs <- MustNew(Params{N: 16, D: 4, K: k, Seed: 3}).G()
+			net := MustNew(Params{N: 16, D: 4, K: k, Seed: 3})
+			nets <- built{net.G(), net.S()}
 		}
 	}()
 	for _, k := range radii {
 		select {
-		case g := <-gs:
-			sameGraph(t, fmt.Sprintf("K=%d", k), g, want)
+		case b := <-nets:
+			sameGraph(t, fmt.Sprintf("K=%d", k), b.g, want)
+			if b.s != len(wantAdj) {
+				t.Fatalf("K=%d: S = %d, want %d", k, b.s, len(wantAdj))
+			}
 		case <-time.After(time.Minute):
 			t.Fatalf("G at N = 16, K = %d did not return within a minute", k)
 		}
 	}
 }
 
-// TestGBuiltOnceOnFirstUse: New leaves G unbuilt, and concurrent first
-// callers, through G and through GWith on their own pools, all get the
-// one graph, equal to the reference closure. NewReference, the oracle,
-// builds G eagerly, and Restore with a G serves that G without building.
+// TestGBuiltOnceOnFirstUse: G keeps nothing, so concurrent callers of
+// G each build a graph equal to the one NewReference, the oracle,
+// returns, while concurrent first callers of S share one count, equal
+// to that graph's adjacency length.
 func TestGBuiltOnceOnFirstUse(t *testing.T) {
 	p := Params{N: 512, D: 8, Seed: 17}
 	net := MustNew(p)
-	if net.BuiltG() != nil {
-		t.Fatal("New built G")
-	}
-	pools := closurePools(t)
-	got := make([]*graph.Graph, 8)
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if i < len(pools) {
-				got[i] = net.GWith(pools[i])
-			} else {
-				got[i] = net.G()
-			}
-		}()
-	}
-	wg.Wait()
-	for i, g := range got {
-		if g != got[0] {
-			t.Fatalf("caller %d got a different graph", i)
-		}
-	}
-	sameGraph(t, "G", got[0], buildGReference(net.H, net.K))
-	if net.BuiltG() != got[0] {
-		t.Fatal("BuiltG does not return the built G")
-	}
-
-	ref, err := NewReference(p)
+	_, want, err := NewReference(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.BuiltG() == nil {
-		t.Fatal("NewReference left G unbuilt")
+	_, wantAdj := want.CSR()
+	gs := make([]*graph.Graph, 8)
+	ss := make([]int, len(gs))
+	var wg sync.WaitGroup
+	for i := range gs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gs[i], ss[i] = net.G(), net.S()
+		}()
 	}
-
-	stored := Restore(p, net.H, net.K, net.IDs, got[0])
-	if stored.BuiltG() != got[0] || stored.G() != got[0] {
-		t.Fatal("Restore with a G does not serve it")
-	}
-	if Restore(p, net.H, net.K, net.IDs, nil).BuiltG() != nil {
-		t.Fatal("Restore without a G built one")
+	wg.Wait()
+	for i, g := range gs {
+		sameGraph(t, fmt.Sprintf("caller %d", i), g, want)
+		if ss[i] != len(wantAdj) {
+			t.Fatalf("caller %d: S = %d, want %d", i, ss[i], len(wantAdj))
+		}
 	}
 }
 
-// TestBuildGWordBoundaries compares the closure with the reference where
-// a bitmap off-by-one would show and the golden grid does not reach:
+// TestBuildGWordBoundaries compares the closure with the reference, and
+// S's count with the reference's adjacency length, where a bitmap
+// off-by-one would show and the golden grid does not reach:
 // node counts on both sides of 64-bit word boundaries, degrees up to 16,
 // and radii up to 6, where balls cover the whole graph. n = 4095..4097
 // straddles the first summary word and is large enough for the pools to
@@ -246,13 +234,17 @@ func closurePools(tb testing.TB) []*sim.Pool {
 }
 
 // checkClosure compares BuildG, and BuildGWith on each pool, with the
-// reference closure of h at radius k.
+// reference closure of h at radius k, and countS with the reference's
+// adjacency length.
 func checkClosure(t testing.TB, what string, h *graph.Graph, k int, pools []*sim.Pool) {
 	t.Helper()
 	want := buildGReference(h, k)
 	sameGraph(t, what+" serial", BuildG(h, k), want)
 	for _, pool := range pools {
 		sameGraph(t, fmt.Sprintf("%s on %d workers", what, pool.Workers()), BuildGWith(h, k, pool), want)
+	}
+	if _, wantAdj := want.CSR(); countS(h, k) != len(wantAdj) {
+		t.Fatalf("%s: S = %d, want %d", what, countS(h, k), len(wantAdj))
 	}
 }
 
@@ -279,7 +271,7 @@ func TestFastPathMatchesReferenceRandomized(t *testing.T) {
 		d := 4 + 2*int(seed%4)
 		k := int(seed % 3) // 0 = paper default
 		p := Params{N: n, D: d, K: k, Seed: seed}
-		ref, err := NewReference(p)
+		ref, refG, err := NewReference(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,8 +279,7 @@ func TestFastPathMatchesReferenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast.GWith(pool)
-		if ref.Digest() != fast.Digest() {
+		if ref.digest(refG) != fast.digest(BuildGWith(fast.H, fast.K, pool)) {
 			t.Errorf("params %+v: fast path diverges from reference", p)
 		}
 	}

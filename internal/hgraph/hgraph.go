@@ -7,9 +7,10 @@
 //     H-distance k, k = ⌈d/3⌉.
 //   - G = H ∪ L: the small-world network the protocol runs on, built by
 //     growing every node's H-ball level by level in a row bitmap
-//     (BuildGWith). Only Algorithm 2's topology exchange reads G
-//     (Algorithm 1 floods over H), so a Network builds it on first use
-//     (Network.G), not at generation.
+//     (BuildGWith). The engine never holds G: Algorithm 1 floods over H,
+//     and Algorithm 2's topology exchange needs only G's adjacency length
+//     (Network.S) and H-balls, so G is built only by the analysis code
+//     that reads it (Network.G).
 //
 // It also implements the structural machinery of the analysis: the
 // locally-tree-like classification (Definitions 7–8), the node taxonomy of
@@ -27,7 +28,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -64,57 +64,75 @@ func (p Params) Canonical() Params {
 	return p
 }
 
-// Network is a generated instance of the paper's model. H, K and the IDs
-// are its state; G = H ∪ L is derived from H and K on the first call to
-// G or GWith and kept, so a network whose runs never read G never pays
-// for the closure. A Network is safe for concurrent use once built: the
-// sweep cache shares one instance across jobs, and concurrent first
-// callers of G share one build.
+// Network is a generated instance of the paper's model: H, K and the
+// IDs, plus S, which is derived from H and K and counted on first use. A
+// Network is safe for concurrent use once built: the sweep cache shares
+// one instance across jobs, and concurrent first callers of S share one
+// count.
 type Network struct {
 	Params Params
 	H      *graph.Graph // the d-regular expander (multigraph)
 	K      int          // lattice radius actually used
 	IDs    []uint64     // distinct node IDs from a large space
 
-	gOnce sync.Once
-	g     atomic.Pointer[graph.Graph] // H ∪ L as a simple graph, once built
+	sOnce sync.Once
+	s     int
 }
 
-// Restore reassembles a stored network from its state. g is the stored
-// G, or nil to build it on first use; the caller vouches that a non-nil
-// g is H's closure at radius k (the topology store checks its CSR shape
-// and checksum).
-func Restore(p Params, h *graph.Graph, k int, ids []uint64, g *graph.Graph) *Network {
-	net := &Network{Params: p, H: h, K: k, IDs: ids}
-	if g != nil {
-		net.gOnce.Do(func() { net.g.Store(g) })
-	}
-	return net
+// S returns Σ_v deg_G(v), the length of G's adjacency, without building
+// G: deg_G(v) is the size of v's radius-K ball in H less v, so the first
+// call counts every node's ball by a depth-K BFS over H and later calls
+// return the count. Algorithm 2's topology exchange charges its messages
+// from S (Remark 3).
+func (net *Network) S() int {
+	net.sOnce.Do(func() { net.s = countS(net.H, net.K) })
+	return net.s
 }
 
-// G returns the lattice network G = H ∪ L as a simple graph, building it
-// on the first call.
-func (net *Network) G() *graph.Graph { return net.GWith(nil) }
-
-// BuiltG returns G if it has been built (or restored), else nil; it never
-// builds. The topology store writes G only when it is built.
-func (net *Network) BuiltG() *graph.Graph { return net.g.Load() }
-
-// GWith is G building on the caller's pool if this call is the one that
-// builds G; a nil pool means a transient one for large networks (see
-// parallelGenThreshold) and a serial build otherwise. Concurrent callers
-// block until the build finishes. The pool is borrowed for the duration
-// of the call only, and per sim.Pool's contract the caller must not use
-// it concurrently.
-func (net *Network) GWith(pool *sim.Pool) *graph.Graph {
-	net.gOnce.Do(func() {
-		if pool == nil && net.H.N() >= parallelGenThreshold && runtime.GOMAXPROCS(0) > 1 {
-			pool = sim.NewPool(0)
-			defer pool.Close()
+// countS returns Σ_v (|ball_H(v, k)| − 1) by a serial BFS to depth k
+// from every node. stamp[x] is the epoch (source + 1) of the last search
+// that reached x, so no search clears what the previous one marked. A
+// search stops once a level adds no node, which bounds any k by n − 1
+// levels, as BuildGWith's cap does.
+func countS(h *graph.Graph, k int) int {
+	n := h.N()
+	off, adj := h.CSR()
+	stamp := make([]int32, n)
+	queue := make([]int32, 0, n)
+	s := 0
+	for v := 0; v < n; v++ {
+		ep := int32(v + 1)
+		stamp[v] = ep
+		queue = append(queue[:0], int32(v))
+		for depth, lo := 0, 0; depth < k && lo < len(queue); depth++ {
+			hi := len(queue)
+			for _, x := range queue[lo:hi] {
+				for _, y := range adj[off[x]:off[x+1]] {
+					if stamp[y] != ep {
+						stamp[y] = ep
+						queue = append(queue, y)
+					}
+				}
+			}
+			lo = hi
 		}
-		net.g.Store(BuildGWith(net.H, net.K, pool))
-	})
-	return net.g.Load()
+		s += len(queue) - 1
+	}
+	return s
+}
+
+// G builds the lattice network G = H ∪ L as a simple graph, anew on
+// every call: nothing keeps it. A network of parallelGenThreshold nodes
+// or more builds on a transient worker pool. Only analysis code reads G
+// (Digest, Classify, the structure experiments, netgen); the engine
+// needs only S.
+func (net *Network) G() *graph.Graph {
+	var pool *sim.Pool
+	if net.H.N() >= parallelGenThreshold && runtime.GOMAXPROCS(0) > 1 {
+		pool = sim.NewPool(0)
+		defer pool.Close()
+	}
+	return BuildGWith(net.H, net.K, pool)
 }
 
 // Validate checks parameter sanity.
@@ -351,16 +369,13 @@ func AssignIDs(n int, src *rng.Source) []uint64 {
 	return ids
 }
 
-// parallelGenThreshold is the node count below which a Network builds G
-// serially instead of on a transient worker pool when its caller brings
-// no pool. Below it the closure takes milliseconds on one core
-// (BenchmarkBuildG: about 2 ms at n = 512 and 9–13 ms at n = 2048). The
-// engine's exchange brings the run's own pool, so a sweep keeps its
-// per-job worker budget.
+// parallelGenThreshold is the node count below which Network.G builds G
+// serially instead of on a transient worker pool. Below it the closure
+// takes milliseconds on one core (BenchmarkBuildG: about 2 ms at n = 512
+// and 9–13 ms at n = 2048).
 const parallelGenThreshold = 4096
 
-// New generates a network instance from params: H, K and the IDs. G is
-// built on first use (Network.G).
+// New generates a network instance from params: H, K and the IDs.
 func New(p Params) (*Network, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -376,22 +391,22 @@ func New(p Params) (*Network, error) {
 }
 
 // NewWith is New, keeping the signature its callers use. pool goes
-// unused because generation does not build G; Network.GWith builds G on
-// a caller's pool.
+// unused: generation builds no G, and Network.G brings its own pool.
 func NewWith(p Params, pool *sim.Pool) (*Network, error) {
 	return New(p)
 }
 
-// NewReference generates a network with the pre-fast-path generator: the
-// Builder-based lattice closure, run eagerly, and the map-based ID set,
-// exactly as the seed engine shipped them. It exists as the oracle the
-// fast path is pinned against — the golden digest tests assert
-// NewReference and New agree bit-for-bit across a parameter grid, and
-// cmd/bench measures both so every trajectory entry records the
-// generation speedup on the same machine.
-func NewReference(p Params) (*Network, error) {
+// NewReference generates a network with the pre-fast-path generator and
+// returns it with its G: the Builder-based lattice closure, run eagerly,
+// and the map-based ID set, exactly as the seed engine shipped them. It
+// exists as the oracle the fast path is pinned against — the golden
+// digest tests assert that NewReference with its G and New with G agree
+// bit-for-bit across a parameter grid, and cmd/bench measures both so
+// every trajectory entry records the generation speedup on the same
+// machine.
+func NewReference(p Params) (*Network, *graph.Graph, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	k := p.K
 	if k == 0 {
@@ -399,10 +414,9 @@ func NewReference(p Params) (*Network, error) {
 	}
 	src := rng.Split(p.Seed, 0x48475248) // "HGRH"
 	h := GenerateH(p.N, p.D, src)
-	net := &Network{Params: p, H: h, K: k}
-	net.gOnce.Do(func() { net.g.Store(buildGReference(h, k)) })
-	net.IDs = assignIDsReference(p.N, rng.Split(p.Seed, 0x49445350)) // "IDSP"
-	return net, nil
+	g := buildGReference(h, k)
+	ids := assignIDsReference(p.N, rng.Split(p.Seed, 0x49445350)) // "IDSP"
+	return &Network{Params: p, H: h, K: k, IDs: ids}, g, nil
 }
 
 // buildGReference is the seed lattice closure: per-node balls appended to
@@ -444,9 +458,11 @@ func assignIDsReference(n int, src *rng.Source) []uint64 {
 // SHA-256 over K, both graphs' CSR arrays, and the ID vector. Two
 // networks with equal digests are structurally identical to the engine
 // (same tables, same IDs), which is what the golden generator-identity
-// tests and the topology store's round-trip tests pin. It builds G if
-// no caller has yet.
-func (net *Network) Digest() string {
+// tests and the topology store's round-trip tests pin. It builds G.
+func (net *Network) Digest() string { return net.digest(net.G()) }
+
+// digest is Digest over a G the caller built.
+func (net *Network) digest(g *graph.Graph) string {
 	h := sha256.New()
 	var b [8]byte
 	put := func(x uint64) {
@@ -454,8 +470,8 @@ func (net *Network) Digest() string {
 		h.Write(b[:])
 	}
 	put(uint64(net.K))
-	for _, g := range []*graph.Graph{net.H, net.G()} {
-		off, adj := g.CSR()
+	for _, x := range []*graph.Graph{net.H, g} {
+		off, adj := x.CSR()
 		put(uint64(len(off)))
 		for _, v := range off {
 			put(uint64(uint32(v)))

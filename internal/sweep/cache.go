@@ -17,19 +17,16 @@ import (
 // NetCache is a bounded, concurrency-safe LRU of generated networks keyed
 // by canonical hgraph.Params, with an optional persistent disk tier
 // below it (graphio.NetStore). Network generation (the d/2 Hamiltonian
-// cycles, plus the radius-k lattice closure G that the first Algorithm 2
-// run on a network builds) is the dominant fixed cost of a job at
-// experiment scale, so grid cells that share a topology — same
-// (n, d, k, seed), different adversary, ε, algorithm, or churn — should
-// pay it once per process, and with the disk tier once ever (G once an
-// eviction has written it back, see keepG). Lookup is
-// single-flight at the memory tier: concurrent demand for the same
-// Params blocks on one loader, so the disk read or regeneration also
-// happens once. The memory tier is a plain LRU, so a grid that cycles
-// through more distinct topologies than its capacity (more than 64
-// trials per (n, d) at DefaultCacheCap, since trial is the innermost
-// axis) misses on every job; the disk tier is what makes those misses
-// cheap.
+// cycles and the IDs) is the dominant fixed cost of a job at experiment
+// scale, so grid cells that share a topology — same (n, d, k, seed),
+// different adversary, ε, algorithm, or churn — should pay it once per
+// process, and with the disk tier once ever. Lookup is single-flight at
+// the memory tier: concurrent demand for the same Params blocks on one
+// loader, so the disk read or regeneration also happens once. The memory
+// tier is a plain LRU, so a grid that cycles through more distinct
+// topologies than its capacity (more than 64 trials per (n, d) at
+// DefaultCacheCap, since trial is the innermost axis) misses on every
+// job; the disk tier is what makes those misses cheap.
 //
 // Each entry carries the engine's precomputed tables (core.Topology:
 // CSR adjacency plus the reverse-edge index behind the Byzantine
@@ -40,11 +37,9 @@ import (
 //
 // Cached networks and topologies are shared across jobs and must be
 // treated as immutable; the protocol engine only reads them, apart from
-// building a network's G once on first use, which hgraph.Network makes
-// safe for concurrent callers. A blob is saved right after generation,
-// before any run built G, so it holds no G, and a disk hit on it leaves G
-// to the first job that reads it. Eviction writes a network back with
-// the G a run built (keepG), so later disk hits serve G too.
+// counting a network's S once on first use, which hgraph.Network makes
+// safe for concurrent callers. Neither tier holds G = H ∪ L: a network
+// is H, the IDs and S, and the engine never builds G.
 type NetCache struct {
 	mu     sync.Mutex
 	cap    int
@@ -97,9 +92,6 @@ type cacheEntry struct {
 	tier     string // TierDisk or TierGen
 	genTime  time.Duration
 	loadTime time.Duration
-	// storedG: the disk tier holds this network's blob with G (it was
-	// loaded with one), so evicting the entry writes nothing.
-	storedG bool
 }
 
 // Cache tiers as recorded in TierInfo, Outcome.CacheTier, and the
@@ -253,16 +245,13 @@ func (c *NetCache) entry(p hgraph.Params) (e *cacheEntry, created bool) {
 	tele := c.tele
 	e = &cacheEntry{key: p, ready: make(chan struct{})}
 	c.items[p] = c.ll.PushFront(e)
-	var evicted *cacheEntry
 	if c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		evicted = oldest.Value.(*cacheEntry)
-		delete(c.items, evicted.key)
+		delete(c.items, oldest.Value.(*cacheEntry).key)
 	}
 	c.mu.Unlock()
 	tele.memMisses.Inc()
-	c.keepG(evicted)
 
 	// Disk tier first: a valid blob replaces both generation and table
 	// construction. Any load failure — missing, corrupt, stale, version
@@ -273,7 +262,6 @@ func (c *NetCache) entry(p hgraph.Params) (e *cacheEntry, created bool) {
 		net, topo, err := c.store.Load(p)
 		if err == nil {
 			e.net, e.topo = net, topo
-			e.storedG = net.BuiltG() != nil
 			e.tier = TierDisk
 			e.loadTime = time.Since(start)
 			c.mu.Lock()
@@ -305,29 +293,6 @@ func (c *NetCache) entry(p hgraph.Params) (e *cacheEntry, created bool) {
 	}
 	close(e.ready)
 	return e, true
-}
-
-// keepG writes an evicted network back to the disk tier if an Algorithm
-// 2 run built its G after its blob was written without one (every save
-// follows generation, before any run). Without it, a grid that cycles
-// through more topologies than the memory tier holds would rebuild G on
-// every disk hit; with it, each topology's closure is paid once and
-// later hits read G from the blob. Best effort, like the save after
-// generation: a network evicted while the job that will build its G is
-// still running is not written back this time, only at a later
-// eviction once G is built, which costs one more closure meanwhile.
-func (c *NetCache) keepG(e *cacheEntry) {
-	if e == nil || c.store == nil {
-		return
-	}
-	select {
-	case <-e.ready:
-	default:
-		return // evicted mid-load: no run has read it yet
-	}
-	if e.err == nil && !e.storedG && e.net.BuiltG() != nil {
-		_ = c.store.Save(e.net, e.topo)
-	}
 }
 
 // Stats reports cache hits and misses so far.

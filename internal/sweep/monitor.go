@@ -182,8 +182,8 @@ func (m *Monitor) Status() Status {
 // followed by the per-job stages, shares normalized over everything
 // accounted. Zero-duration stages are kept — a zero is information
 // (the tier was wired but idle, e.g. no disk store attached). generate
-// is H's generation; an Algorithm 2 network's G closure, built on first
-// use, falls in run (see StageTimes).
+// is H's generation; an Algorithm 2 network's S, counted on first use,
+// falls in run (see StageTimes).
 func stageStats(expand time.Duration, stages StageTimes, ran int) []StageStat {
 	rows := []struct {
 		name   string

@@ -103,14 +103,9 @@ func TestNetCacheDiskTierCorruptFallback(t *testing.T) {
 
 // TestSweepAggregatesInvariantUnderDiskTier runs the same small grid
 // memory-only and disk-tiered (cold, then warm) and requires identical
-// outcomes — the disk tier must be invisible to results. The cold and
-// warm runs hand out networks without G, to both algorithms: Algorithm 2
-// builds G on first use, and topology-liar's victims read G's rows in
-// the claimed-topology check. Runs through a one-network cache evict on
-// every job: the first, on one worker, writes every network back with
-// the G Algorithm 2 built (eviction keeps only a G built before it, and
-// with one worker each job ends before the next lookup evicts its
-// network); the second, on two workers, serves that G from disk.
+// outcomes — the disk tier must be invisible to results. Both algorithms
+// run on the loaded networks, and topology-liar's victims run the
+// claimed-topology check on them.
 func TestSweepAggregatesInvariantUnderDiskTier(t *testing.T) {
 	spec := Spec{
 		Name:        "netstore-equiv",
@@ -125,14 +120,13 @@ func TestSweepAggregatesInvariantUnderDiskTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runOn := func(workers int, cache *NetCache) []Outcome {
-		outs, err := Run(jobs, Options{Workers: workers, Cache: cache, Band: metrics.DefaultBand})
+	run := func(cache *NetCache) []Outcome {
+		outs, err := Run(jobs, Options{Workers: 2, Cache: cache, Band: metrics.DefaultBand})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return outs
 	}
-	run := func(cache *NetCache) []Outcome { return runOn(2, cache) }
 	want := run(NewNetCacheWithStore(8, nil))
 
 	store, err := graphio.OpenNetStore(t.TempDir())
@@ -145,17 +139,6 @@ func TestSweepAggregatesInvariantUnderDiskTier(t *testing.T) {
 	if hits, _ := warmCache.DiskStats(); hits == 0 {
 		t.Fatal("warm run never hit the disk tier")
 	}
-	evicting := runOn(1, NewNetCacheWithStore(1, store))
-	for _, j := range jobs {
-		net, _, err := store.Load(j.Net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if net.BuiltG() == nil {
-			t.Fatalf("%+v: no blob written back with G", j.Net)
-		}
-	}
-	withG := run(NewNetCacheWithStore(1, store))
 	for i := range want {
 		if !reflect.DeepEqual(want[i].Summary, cold[i].Summary) {
 			t.Fatalf("job %d: cold disk-tier summary differs", i)
@@ -163,61 +146,7 @@ func TestSweepAggregatesInvariantUnderDiskTier(t *testing.T) {
 		if !reflect.DeepEqual(want[i].Summary, warm[i].Summary) {
 			t.Fatalf("job %d: warm disk-tier summary differs", i)
 		}
-		if !reflect.DeepEqual(want[i].Summary, evicting[i].Summary) {
-			t.Fatalf("job %d: evicting disk-tier summary differs", i)
-		}
-		if !reflect.DeepEqual(want[i].Summary, withG[i].Summary) {
-			t.Fatalf("job %d: summary differs on networks loaded with G", i)
-		}
 	}
-}
-
-// TestNetCacheKeepsBuiltG pins the eviction write-back: evicting a network
-// whose G was built after its blob was saved writes it back with G, once;
-// evicting one whose G is unbuilt, or whose blob already holds G, writes
-// nothing.
-func TestNetCacheKeepsBuiltG(t *testing.T) {
-	store, err := graphio.OpenNetStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	saves := 0
-	store.SetSaveHook(func(f graphio.SaveFile) graphio.SaveFile { saves++; return f })
-	p1, p2 := hgraph.Params{N: 64, D: 8, Seed: 1}, hgraph.Params{N: 64, D: 8, Seed: 2}
-	cache := NewNetCacheWithStore(1, store)
-	get := func(p hgraph.Params) *hgraph.Network {
-		t.Helper()
-		net, err := cache.Get(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return net
-	}
-	expect := func(what string, want int) {
-		t.Helper()
-		if saves != want {
-			t.Fatalf("%s: %d saves, want %d", what, saves, want)
-		}
-	}
-
-	get(p1)
-	net2 := get(p2) // evicts p1, G unbuilt
-	expect("generating both", 2)
-	net2.G()
-	get(p1) // evicts p2, whose blob lacks the G now built
-	expect("evicting p2 with G built", 3)
-	loaded, _, err := store.Load(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.BuiltG() == nil || loaded.Digest() != net2.Digest() {
-		t.Fatal("p2's blob does not hold its G")
-	}
-	if get(p2).BuiltG() == nil { // evicts p1, G unbuilt
-		t.Fatal("disk hit on a blob with G left G unbuilt")
-	}
-	get(p1) // evicts p2, whose blob holds G
-	expect("evicting networks whose G is unbuilt or stored", 3)
 }
 
 // TestEnvNetStore pins the environment contract the CI matrix leg uses.

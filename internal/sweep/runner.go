@@ -67,16 +67,14 @@ type Options struct {
 // StageTimes partitions one job's wall-clock time across the runner's
 // stages, as observed by the job's worker. CacheLookup is the full
 // GetTopologyInfo call — including time blocked on another worker's
-// in-flight load and the write-back of a network the lookup evicted
-// (NetCache.keepG) — while Generate and DiskLoad are attributed only to
+// in-flight load — while Generate and DiskLoad are attributed only to
 // the job that performed the work (TierInfo.Creator), so summed stage
 // totals never double count a shared generation. Generate covers H, K
-// and the IDs only: the lattice network G is built by the first
-// Algorithm 2 run on a network (core's topology exchange), so that run's
-// Run includes the build, and a concurrent run on the same network
-// counts its wait for that build in Run too. Purely observational;
-// absent from stored Records, so existing JSONL stores and job keys are
-// byte-identical with telemetry enabled.
+// and the IDs: a network's S is counted by the first Algorithm 2 run on
+// it (core's topology exchange), so that run's Run includes the count,
+// and a concurrent run on the same network counts its wait for it in
+// Run too. Purely observational; absent from stored Records, so existing
+// JSONL stores and job keys are byte-identical with telemetry enabled.
 type StageTimes struct {
 	CacheLookup time.Duration `json:"cache_lookup,omitempty"`
 	Generate    time.Duration `json:"generate,omitempty"`
