@@ -50,14 +50,10 @@ type (
 	// Band is an acceptance interval for estimate/log₂(n) ratios.
 	Band = metrics.Band
 	// World is a reusable simulation arena: Reset/Run rewind its buffers
-	// and worker pool across runs instead of reallocating, and Topology
-	// tables precomputed per network are shared across arenas. One-shot
-	// callers can ignore it — Run below wraps the same lifecycle.
+	// and worker pool across runs instead of reallocating, and a Network
+	// is shared across arenas as is. One-shot callers can ignore it —
+	// Run below wraps the same lifecycle.
 	World = core.World
-	// Topology is the immutable per-network half of the arena (CSR
-	// adjacency and the Byzantine send-slot index), computed once per
-	// generated network and shareable across goroutines.
-	Topology = core.Topology
 	// FaultModel is one pluggable source of runtime faults (crash churn,
 	// join/rejoin churn, message loss) composed via Config.Faults.
 	FaultModel = core.FaultModel
@@ -135,15 +131,11 @@ func Run(net *Network, byz []bool, adv Adversary, cfg Config) (*Result, error) {
 // NewWorld returns an empty reusable simulation arena. Close it when done.
 func NewWorld() *World { return core.NewWorld() }
 
-// NewTopology precomputes the engine's per-network tables for repeated
-// runs on the same network (World.RunTopology skips recomputing them).
-func NewTopology(net *Network) *Topology { return core.NewTopology(net) }
-
 // NetStore is the persistent content-addressed topology store: generated
-// networks and their engine tables serialized under a versioned binary
-// codec, keyed by canonical Params. The sweep scheduler's network cache
-// uses one as its disk tier (see the REPRO_NETSTORE environment
-// variable, or pregenerate with `netgen -pregen`).
+// networks serialized under a versioned binary codec, keyed by canonical
+// Params. The sweep scheduler's network cache uses one as its disk tier
+// (see the REPRO_NETSTORE environment variable, or pregenerate with
+// `netgen -pregen`).
 type NetStore = graphio.NetStore
 
 // OpenNetStore opens (creating if needed) a topology store rooted at dir.

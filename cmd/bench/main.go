@@ -13,8 +13,8 @@
 //	                                        # fail on >15% ns/op regression
 //
 // The benchmarks mirror internal/core/bench_test.go: "fresh" entries pay
-// arena construction per run, "arena" entries reuse one World with a
-// cached Topology (the sweep scheduler's cache-hit path), and the
+// arena construction per run, "arena" entries reuse one World on a
+// cached network (the sweep scheduler's cache-hit path), and the
 // "hiphase" pair drives the engine into the high-phase regime the
 // frontier scheduler exploits — a final-round injection timing attack
 // keeps a handful of nodes active to the MaxPhase cap while the flood
@@ -130,7 +130,6 @@ func cases(quick bool) []benchCase {
 
 	nets := map[int]*hgraph.Network{}
 	byzs := map[int][]bool{}
-	topos := map[int]*core.Topology{}
 	prime := func(n int) {
 		if _, ok := nets[n]; ok {
 			return
@@ -138,7 +137,6 @@ func cases(quick bool) []benchCase {
 		nets[n] = hgraph.MustNew(hgraph.Params{N: n, D: 8, Seed: 11})
 		nets[n].S() // counted outside the timed runs, as a cached network's would be
 		byzs[n] = hgraph.PlaceByzantine(n, hgraph.ByzantineBudget(n, 0.75), rng.New(12))
-		topos[n] = core.NewTopology(nets[n])
 	}
 	cfg := core.Config{Algorithm: core.AlgorithmByzantine, Seed: 13, Workers: 1}
 
@@ -169,13 +167,13 @@ func cases(quick bool) []benchCase {
 			cs = append(cs, benchCase{name: fmt.Sprintf("core/run-%s/n=%d", ac.name, n), fn: func(b *testing.B) {
 				w := core.NewWorld()
 				defer w.Close()
-				if _, err := w.RunTopology(topos[n], byzs[n], ac.adv, cfg); err != nil {
+				if _, err := w.Run(nets[n], byzs[n], ac.adv, cfg); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := w.RunTopology(topos[n], byzs[n], ac.adv, cfg); err != nil {
+					if _, err := w.Run(nets[n], byzs[n], ac.adv, cfg); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -206,13 +204,13 @@ func cases(quick bool) []benchCase {
 				}
 				w := core.NewWorld()
 				defer w.Close()
-				if _, err := w.RunTopology(topos[hp.n], byzOne, adversary.FinalRoundInflate{}, hcfg); err != nil {
+				if _, err := w.Run(nets[hp.n], byzOne, adversary.FinalRoundInflate{}, hcfg); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := w.RunTopology(topos[hp.n], byzOne, adversary.FinalRoundInflate{}, hcfg); err != nil {
+					if _, err := w.Run(nets[hp.n], byzOne, adversary.FinalRoundInflate{}, hcfg); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -260,13 +258,13 @@ func cases(quick bool) []benchCase {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := store.Save(net, core.NewTopology(net)); err != nil {
+			if err := store.Save(net, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := store.Load(p); err != nil {
+				if _, err := store.Load(p); err != nil {
 					b.Fatal(err)
 				}
 			}

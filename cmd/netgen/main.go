@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/graphio"
 	"repro/internal/hgraph"
@@ -165,7 +164,7 @@ func runPregen(specPath, storeDir string, workers int, fallback hgraph.Params) e
 			for p := range work {
 				net, err := hgraph.New(p)
 				if err == nil {
-					err = store.Save(net, core.NewTopology(net))
+					err = store.Save(net, nil)
 				}
 				mu.Lock()
 				if err != nil {

@@ -103,23 +103,9 @@ func run() int {
 	expand := time.Since(expandStart)
 	fmt.Fprintf(os.Stderr, "spec %q: %d jobs\n", spec.Name, len(jobs))
 
-	// The -netstore flag overrides the REPRO_NETSTORE environment
-	// default with the same vocabulary (on/off/0/1/dir), and is resolved
-	// before any cache exists so an override never opens (or mkdirs) the
-	// environment's store as a side effect. An explicitly requested
-	// store that cannot be opened is an error — silently sweeping
-	// without it would regenerate every topology the user asked to
-	// serve from disk. (The environment path stays best-effort:
-	// EnvNetStore degrades to nil.)
-	var cache *sweep.NetCache
-	if *netstore != "" {
-		ns, err := sweep.ResolveNetStore(*netstore)
-		if err != nil {
-			fatal(err)
-		}
-		cache = sweep.NewNetCacheWithStore(*cacheCap, ns)
-	} else {
-		cache = sweep.NewNetCache(*cacheCap)
+	cache, err := sweep.ResolveCache(*cacheCap, *netstore)
+	if err != nil {
+		fatal(err)
 	}
 	opts := sweep.Options{
 		Workers:    *workers,

@@ -116,16 +116,13 @@ type workerConfig struct {
 }
 
 func runWorker(ctx context.Context, cfg workerConfig) int {
-	opts := sweep.Options{Workers: cfg.workers, RunWorkers: cfg.runWorkers}
-	if cfg.netstore != "" {
-		ns, err := sweep.ResolveNetStore(cfg.netstore)
-		if err != nil {
-			return fail(err)
-		}
-		opts.Cache = sweep.NewNetCacheWithStore(cfg.cacheCap, ns)
-	} else if cfg.cacheCap != 0 {
-		opts.Cache = sweep.NewNetCache(cfg.cacheCap)
+	// One cache for the worker's life, so a topology an earlier shard
+	// built serves every later shard's jobs on it.
+	cache, err := sweep.ResolveCache(cfg.cacheCap, cfg.netstore)
+	if err != nil {
+		return fail(err)
 	}
+	opts := sweep.Options{Workers: cfg.workers, RunWorkers: cfg.runWorkers, Cache: cache}
 	var hc *http.Client
 	if cfg.chaosDelay > 0 {
 		// A degraded machine, on demand: every coordinator call waits a

@@ -1,40 +1,77 @@
 package core
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/hgraph"
 )
 
-// TestTopologyReverse checks the reverse-edge index on multigraphs: every
-// CSR entry's reverse points back at it and connects the same unordered
-// pair. Small n with d close to n forces parallel edges and self-loops.
-func TestTopologyReverse(t *testing.T) {
+// TestByzReverseMatchesOracle checks the per-run reverse positions
+// against a brute-force oracle on multigraphs: with each node Byzantine
+// in turn on one reused arena, every entry leaving it must map to the
+// j-th occurrence of it in the neighbour's row when the entry is the j-th
+// occurrence of the neighbour in its own row, and carry its slot there.
+// Small n with d close to n forces parallel edges and self-loops. Every
+// other byzIn entry must read -1, so the previous node's marks were
+// cleared.
+func TestByzReverseMatchesOracle(t *testing.T) {
 	for _, p := range []hgraph.Params{
 		{N: 5, D: 4, Seed: 3},
 		{N: 16, D: 8, Seed: 4},
 		{N: 128, D: 8, Seed: 5},
 	} {
 		net := hgraph.MustNew(p)
-		topo := NewTopology(net)
-		off, adj := topo.hOff, topo.hAdj
-		owner := make([]int32, len(adj))
-		for v := 0; v < net.H.N(); v++ {
-			for e := off[v]; e < off[v+1]; e++ {
-				owner[e] = int32(v)
+		off, adj := net.H.CSR()
+		n := net.H.N()
+		w := NewWorld()
+		for b := 0; b < n; b++ {
+			byz := make([]bool, n)
+			byz[b] = true
+			if err := w.Reset(net, byz, nil, Config{Seed: 1, Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if int(off[b+1]-off[b]) != len(w.byzRev) {
+				t.Fatalf("%+v, node %d: %d reverse positions for %d entries", p, b, len(w.byzRev), off[b+1]-off[b])
+			}
+			want := map[int32]int32{} // reverse position -> slot
+			slot := int32(-1)
+			for e := off[b]; e < off[b+1]; e++ {
+				x := adj[e]
+				j := 0
+				for f := off[b]; f < e; f++ {
+					if adj[f] == x {
+						j++
+					}
+				}
+				if j == 0 {
+					slot++
+				}
+				r := int32(-1)
+				for f := off[x]; f < off[x+1]; f++ {
+					if adj[f] == int32(b) {
+						if j == 0 {
+							r = f
+							break
+						}
+						j--
+					}
+				}
+				if got := w.byzRev[e-off[b]]; got != r {
+					t.Fatalf("%+v, node %d: entry %d (%d→%d) reversed to %d, oracle %d", p, b, e, b, x, got, r)
+				}
+				want[r] = slot
+			}
+			for e, s := range w.byzIn {
+				ws, ok := want[int32(e)]
+				if !ok {
+					ws = -1
+				}
+				if s != ws {
+					t.Fatalf("%+v, node %d: byzIn[%d] = %d, want %d", p, b, e, s, ws)
+				}
 			}
 		}
-		for e := range adj {
-			r := topo.rev[e]
-			if topo.rev[r] != int32(e) {
-				t.Fatalf("%+v: rev not involutive at entry %d (rev=%d, rev(rev)=%d)", p, e, r, topo.rev[r])
-			}
-			if adj[r] != owner[e] || owner[r] != adj[e] {
-				t.Fatalf("%+v: entry %d (%d→%d) reversed to %d (%d→%d)",
-					p, e, owner[e], adj[e], r, owner[r], adj[r])
-			}
-		}
+		w.Close()
 	}
 }
 
@@ -185,31 +222,4 @@ func TestHighDegreeCandidateOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertResultsEqual(t, dense, res)
-}
-
-// TestWorldCallerOwnedPool checks Config.Pool sharing: the arena must use
-// and never close a caller-supplied pool.
-func TestWorldCallerOwnedPool(t *testing.T) {
-	net := hgraph.MustNew(hgraph.Params{N: 300, D: 8, Seed: 21})
-	pool := newTestPool(t)
-	cfg := Config{Algorithm: AlgorithmByzantine, Seed: 22, Pool: pool}
-	w := NewWorld()
-	ref, err := Run(net, nil, nil, Config{Algorithm: AlgorithmByzantine, Seed: 22, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 2; trial++ {
-		res, err := w.Run(net, nil, nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertResultsEqual(t, ref, res)
-	}
-	w.Close()
-	// The pool must still be alive: run through it once more.
-	var covered atomic.Int64
-	pool.ForChunks(1000, func(start, end int) { covered.Add(int64(end - start)) })
-	if covered.Load() != 1000 {
-		t.Fatal("caller-owned pool dead after arena Close")
-	}
 }

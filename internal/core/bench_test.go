@@ -38,26 +38,25 @@ func BenchmarkRunFresh(b *testing.B) {
 }
 
 // BenchmarkRun measures the arena path the sweep runner uses on a network
-// cache hit: one World reused across runs, topology tables precomputed
-// once. This is the acceptance benchmark — compare ns/op against the seed
-// engine's per-run construction at the same n.
+// cache hit: one World reused across runs on the same network. This is
+// the acceptance benchmark — compare ns/op against the seed engine's
+// per-run construction at the same n.
 func BenchmarkRun(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		n := n
 		b.Run(map[int]string{1024: "n=1024", 4096: "n=4096"}[n], func(b *testing.B) {
 			net := benchNet(n)
 			byz := benchByz(n)
-			topo := NewTopology(net)
 			w := NewWorld()
 			defer w.Close()
 			cfg := Config{Algorithm: AlgorithmByzantine, Seed: 13, Workers: 1}
-			if _, err := w.RunTopology(topo, byz, nil, cfg); err != nil {
+			if _, err := w.Run(net, byz, nil, cfg); err != nil {
 				b.Fatal(err) // warm the arena before timing
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.RunTopology(topo, byz, nil, cfg); err != nil {
+				if _, err := w.Run(net, byz, nil, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

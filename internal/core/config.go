@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/sim"
 )
 
 // Algorithm selects which protocol variant Run executes.
@@ -69,18 +67,10 @@ type Config struct {
 	// Seed drives all honest protocol coins (per-node streams are split
 	// from it). The network topology has its own seed in hgraph.Params.
 	Seed uint64
-	// Workers sets simulator parallelism; 0 selects GOMAXPROCS. Ignored
-	// when Pool is set.
+	// Workers sets simulator parallelism; 0 selects GOMAXPROCS. The
+	// arena owns a pool of that many goroutines, reused across its
+	// Resets.
 	Workers int
-	// Pool, if non-nil, is a caller-owned sim.Pool the run executes on,
-	// shared across runs (and Worlds) instead of constructed per run. The
-	// engine never closes a supplied Pool. Nil: the arena creates and
-	// owns a pool of Workers goroutines, reused across its Resets.
-	//
-	// A Pool serializes its parallel-for calls, so Worlds sharing one
-	// must not Run concurrently — share across sequential runs; give
-	// concurrent Worlds (e.g. one per sweep worker) their own pools.
-	Pool *sim.Pool
 	// RecordPhaseActivity, when set, records how many honest nodes were
 	// still active at the start of each phase (used by experiment E6/E11).
 	RecordPhaseActivity bool

@@ -72,7 +72,7 @@ func (w *World) runExchange() {
 	// the least sequence of H-row indices over shortest v→b paths. A
 	// greedy descent along b's distance field finds it, taking the first
 	// entry of each row that steps one closer to b.
-	hOff, hAdj := w.topo.hOff, w.topo.hAdj
+	hOff, hAdj := w.hOff, w.hAdj
 	for _, b := range w.byzList {
 		ball, dist := graph.BallWith(w.exchBFS, int(b), k)
 		for _, v := range ball {
@@ -195,7 +195,7 @@ func (w *World) claimedBallConsistent(v int, claims []claim) bool {
 		if w.exchClaimEpoch[x] == ep {
 			return claims[w.exchClaimIdx[x]].adj
 		}
-		return w.topo.hAdj[w.topo.hOff[x]:w.topo.hOff[x+1]]
+		return w.hAdj[w.hOff[x]:w.hOff[x+1]]
 	}
 
 	k, d := w.Net.K, w.Net.Params.D

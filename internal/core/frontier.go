@@ -122,7 +122,7 @@ func (w *World) mark(v int32) {
 	f.list = append(f.list, v)
 	if f.quiet[v] {
 		f.quiet[v] = false
-		deg := int64(w.topo.hOff[v+1] - w.topo.hOff[v])
+		deg := int64(w.hOff[v+1] - w.hOff[v])
 		f.quietMsgs -= deg
 		f.quietBits -= deg * int64(messageBits(w.held.Cur()[v]))
 	}
@@ -165,7 +165,7 @@ func (w *World) buildFrontier(full bool) {
 	cur := w.held.Cur()
 	next := w.held.Next()
 	n := w.N()
-	hOff, hAdj := w.topo.hOff, w.topo.hAdj
+	hOff, hAdj := w.hOff, w.hAdj
 
 	// Saturation bail: count changes first, and when at least a quarter
 	// of the network changed — the propagation regime, where the marked
@@ -281,7 +281,7 @@ func (w *World) quietLossNode(v, t, i int, acc *msgTally) {
 	cur := w.held.Cur()
 	held := cur[v]
 	var drops, kt int64
-	for e := w.topo.hOff[v]; e < w.topo.hOff[v+1]; e++ {
+	for e := w.hOff[v]; e < w.hOff[v+1]; e++ {
 		c := w.reception(e, cur)
 		if c == 0 {
 			continue

@@ -5,16 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hgraph"
-	"repro/internal/sim"
 )
-
-// newTestPool returns a small caller-owned pool closed at test cleanup.
-func newTestPool(t *testing.T) *sim.Pool {
-	t.Helper()
-	p := sim.NewPool(2)
-	t.Cleanup(p.Close)
-	return p
-}
 
 // assertResultsEqual fails unless the two results are deeply identical.
 func assertResultsEqual(t *testing.T, want, got *Result) {

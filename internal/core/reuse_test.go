@@ -76,24 +76,22 @@ func TestWorldReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestWorldReuseSharedTopology runs the same sequence through
-// ResetTopology with caller-held Topology values, as the sweep runner
-// does on cache hits.
+// TestWorldReuseSharedTopology runs the same sequence on two arenas
+// that share every network, each job on the arena that did not run the
+// previous one, as concurrent sweep workers do on cache hits: an arena
+// must key its per-network state on the network it is handed, never on
+// the run it last did.
 func TestWorldReuseSharedTopology(t *testing.T) {
 	jobs := reuseJobs(t)
-	topos := map[*hgraph.Network]*core.Topology{}
-	for _, j := range jobs {
-		if topos[j.net] == nil {
-			topos[j.net] = core.NewTopology(j.net)
-		}
-	}
-	arena := core.NewWorld()
-	defer arena.Close()
-	for _, j := range jobs {
+	arenas := [2]*core.World{core.NewWorld(), core.NewWorld()}
+	defer arenas[0].Close()
+	defer arenas[1].Close()
+	for i, j := range jobs {
 		j := j
+		arena := arenas[i%2]
 		t.Run(j.name, func(t *testing.T) {
 			adv, _ := adversary.ByName(j.adversary)
-			got, err := arena.RunTopology(topos[j.net], j.byz, adv, j.cfg)
+			got, err := arena.Run(j.net, j.byz, adv, j.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +101,7 @@ func TestWorldReuseSharedTopology(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("shared-topology arena diverged from fresh engine")
+				t.Fatalf("shared-network arena diverged from fresh engine")
 			}
 		})
 	}

@@ -18,8 +18,8 @@ import (
 // MaxPhase safety cap (survivors are reported undecided).
 //
 // Run constructs a fresh arena per call; callers executing many runs
-// (sweeps, trial loops) should hold a World and use its Run/RunTopology
-// methods, which reuse the arena's buffers and worker pool across runs.
+// (sweeps, trial loops) should hold a World and use its Run method,
+// which reuses the arena's buffers and worker pool across runs.
 func Run(net *hgraph.Network, byz []bool, adv Adversary, cfg Config) (*Result, error) {
 	w := NewWorld()
 	defer w.Close()
@@ -29,15 +29,6 @@ func Run(net *hgraph.Network, byz []bool, adv Adversary, cfg Config) (*Result, e
 // Run resets the arena for (net, byz, adv, cfg) and executes the protocol.
 func (w *World) Run(net *hgraph.Network, byz []bool, adv Adversary, cfg Config) (*Result, error) {
 	if err := w.Reset(net, byz, adv, cfg); err != nil {
-		return nil, err
-	}
-	return w.run()
-}
-
-// RunTopology is Run with the per-network tables supplied by the caller
-// (the sweep layer caches them alongside each generated network).
-func (w *World) RunTopology(topo *Topology, byz []bool, adv Adversary, cfg Config) (*Result, error) {
-	if err := w.ResetTopology(topo, byz, adv, cfg); err != nil {
 		return nil, err
 	}
 	return w.run()
@@ -141,23 +132,25 @@ func (w *World) runSubphase(i, j int) {
 
 	verify := w.Cfg.Algorithm == AlgorithmByzantine
 	frontier := w.Cfg.FrontierRounds == FrontierOn
-	hOff, hAdj := w.topo.hOff, w.topo.hAdj
-	rev := w.topo.rev
+	hOff, hAdj := w.hOff, w.hAdj
 	for t := 1; t <= i; t++ {
 		w.Clock.Round = t
 		full := !frontier || t == 1 || t == i || w.fr.nextFull
 		w.fr.nextFull = false
 		// Latch Byzantine sends for this round (serial, so adversaries
 		// need no internal synchronization for Send). Entry e = (b → nb)
-		// latches into the slot receivers read for it, byzIn[rev[e]];
-		// parallel edges share a slot and the last Send wins, as with
-		// the seed's map. Send is invoked for every edge in every round
-		// regardless of scheduling — stateful adversaries must see the
-		// identical call sequence — and on frontier rounds a slot that
-		// latches a different value dirties its receiver.
+		// latches into the slot receivers read for it, byzIn at e's
+		// reverse position (byzRev, in this loop's order); parallel edges
+		// share a slot and the last Send wins, as with the seed's map.
+		// Send is invoked for every edge in every round regardless of
+		// scheduling — stateful adversaries must see the identical call
+		// sequence — and on frontier rounds a slot that latches a
+		// different value dirties its receiver.
+		r := 0
 		for _, b := range w.byzList {
 			for e := hOff[b]; e < hOff[b+1]; e++ {
-				slot := w.byzIn[rev[e]]
+				slot := w.byzIn[w.byzRev[r]]
+				r++
 				send := w.adv.Send(w, int(b), int(hAdj[e]), t)
 				if !full && send != w.byzSends[slot] {
 					w.markLatchedSend(hAdj[e])
@@ -316,8 +309,8 @@ func (w *World) stepNode(v, t, i int, verify bool, acc *msgTally) {
 		return
 	}
 
-	hAdj := w.topo.hAdj
-	begin, end := w.topo.hOff[v], w.topo.hOff[v+1]
+	hAdj := w.hAdj
+	begin, end := w.hOff[v], w.hOff[v+1]
 
 	lossy := w.plan.lossThresh != 0
 
@@ -413,7 +406,7 @@ func (w *World) reception(e int32, cur []int64) int64 {
 	if slot := w.byzIn[e]; slot >= 0 {
 		return w.byzSends[slot]
 	}
-	if nb := w.topo.hAdj[e]; !w.crashed[nb] {
+	if nb := w.hAdj[e]; !w.crashed[nb] {
 		return cur[nb]
 	}
 	return 0
@@ -428,7 +421,7 @@ func (w *World) reception(e int32, cur []int64) int64 {
 func (w *World) scanRow(v int, heldv int64, lossy bool) (kt, best int64, from int32, cands int) {
 	cur := w.held.Cur()
 	var drops int64
-	for e := w.topo.hOff[v]; e < w.topo.hOff[v+1]; e++ {
+	for e := w.hOff[v]; e < w.hOff[v+1]; e++ {
 		c := w.reception(e, cur)
 		if c == 0 {
 			continue
@@ -443,7 +436,7 @@ func (w *World) scanRow(v int, heldv int64, lossy bool) (kt, best int64, from in
 		}
 		cands++
 		if c > best {
-			best, from = c, w.topo.hAdj[e]
+			best, from = c, w.hAdj[e]
 		}
 	}
 	if drops > 0 {
@@ -467,7 +460,7 @@ func (w *World) selectVerified(v, t int, heldv, best int64, consumed bool, acc *
 	cur := w.held.Cur()
 	lossy := w.plan.lossThresh != 0
 	var cands candBuf
-	for e := w.topo.hOff[v]; e < w.topo.hOff[v+1]; e++ {
+	for e := w.hOff[v]; e < w.hOff[v+1]; e++ {
 		c := w.reception(e, cur)
 		if c == 0 || lossy && w.dropRecv(e) {
 			continue
@@ -476,7 +469,7 @@ func (w *World) selectVerified(v, t int, heldv, best int64, consumed bool, acc *
 			kt = max(kt, c)
 			continue
 		}
-		if cands.insert(c, w.topo.hAdj[e]) {
+		if cands.insert(c, w.hAdj[e]) {
 			w.candOverflows.Add(1)
 		}
 	}

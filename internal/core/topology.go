@@ -1,126 +1,12 @@
 package core
 
-import (
-	"fmt"
+import "repro/internal/hgraph"
 
-	"repro/internal/hgraph"
-)
+// Topology carries nothing. The engine keeps no per-network tables
+// beyond H's CSR arrays, which a World reads straight from the network,
+// so there is nothing to precompute or share.
+type Topology struct{}
 
-// Topology is the immutable half of the simulation arena: tables derived
-// from a Network alone, computed once and shared by every run on that
-// network (the sweep layer caches a Topology alongside each cached
-// Network). The mutable half lives in World and is rewound by Reset.
-//
-// The tables are what let stepNode run allocation-free with O(1) lookups:
-// the H adjacency in raw CSR form (one bounds-checked slice index per
-// neighbor instead of a Neighbors call per node per round), and the
-// reverse-edge index that Reset uses to build the CSR-aligned Byzantine
-// send-slot table in O(Byzantine degree) time.
-type Topology struct {
-	// Net is the network these tables were derived from.
-	Net *hgraph.Network
-
-	// hOff/hAdj are H's CSR arrays (aliases of the graph's storage):
-	// node v's H-neighbors are hAdj[hOff[v]:hOff[v+1]].
-	hOff []int32
-	hAdj []int32
-
-	// rev[e] is the CSR position of entry e's reverse edge: if e is the
-	// j-th occurrence of x in v's adjacency, rev[e] is the j-th occurrence
-	// of v in x's adjacency (multigraph multiplicities pair off exactly;
-	// a self-loop entry is its own reverse).
-	rev []int32
-}
-
-// NewTopology precomputes the engine's per-network tables. The returned
-// Topology is immutable and safe to share across Worlds and goroutines.
-func NewTopology(net *hgraph.Network) *Topology {
-	off, adj := net.H.CSR()
-	return &Topology{
-		Net:  net,
-		hOff: off,
-		hAdj: adj,
-		rev:  buildReverse(off, adj),
-	}
-}
-
-// Rev exposes the reverse-edge index for serialization (the topology
-// store persists it alongside the network so a disk hit skips table
-// construction entirely). The slice aliases internal storage and must be
-// treated as read-only.
-func (t *Topology) Rev() []int32 { return t.rev }
-
-// TopologyFromRev reassembles a Topology from a network and a persisted
-// reverse-edge index, validating that rev is exactly the canonical index
-// buildReverse would produce: every entry in bounds, pointing back into
-// the right row (adj[rev[e]] must be the row's owner), an involution
-// (rev[rev[e]] == e), and parallel-edge runs paired occurrence-by-
-// occurrence starting at the first occurrence — the pairing the engine's
-// Byzantine send-slot latching depends on. Anything else is rejected, so
-// a corrupt or hand-mangled store file can never reach the round loop.
-func TopologyFromRev(net *hgraph.Network, rev []int32) (*Topology, error) {
-	off, adj := net.H.CSR()
-	if len(rev) != len(adj) {
-		return nil, fmt.Errorf("core: rev has %d entries, H adjacency has %d", len(rev), len(adj))
-	}
-	n := len(off) - 1
-	for v := 0; v < n; v++ {
-		occStart := off[v] // first entry of the current parallel-edge run
-		var revStart int32 // rev of that first entry
-		for e := off[v]; e < off[v+1]; e++ {
-			x := adj[e]
-			r := rev[e]
-			if r < 0 || int(r) >= len(adj) {
-				return nil, fmt.Errorf("core: rev[%d] = %d out of range", e, r)
-			}
-			if adj[r] != int32(v) {
-				return nil, fmt.Errorf("core: rev[%d] points at an edge of %d, want %d", e, adj[r], v)
-			}
-			if rev[r] != e {
-				return nil, fmt.Errorf("core: rev not an involution at entry %d", e)
-			}
-			if e == off[v] || adj[e-1] != x {
-				// New run: its reverse must start at x's first occurrence
-				// of v (the entry before r, if any, must not be v).
-				if r > off[x] && adj[r-1] == int32(v) {
-					return nil, fmt.Errorf("core: rev[%d] skips occurrences of %d in row %d", e, v, x)
-				}
-				occStart, revStart = e, r
-			} else if r != revStart+(e-occStart) {
-				// Within a run, occurrences pair off in order.
-				return nil, fmt.Errorf("core: rev[%d] breaks occurrence order in row %d", e, v)
-			}
-		}
-	}
-	return &Topology{Net: net, hOff: off, hAdj: adj, rev: rev}, nil
-}
-
-// buildReverse pairs every directed CSR entry with its reverse entry.
-// Adjacency lists are sorted, so the occurrences of x in v's list are
-// contiguous, and the j-th is matched to the j-th occurrence of v in x's
-// list (found by binary search: O(E log d) once per network).
-func buildReverse(off, adj []int32) []int32 {
-	rev := make([]int32, len(adj))
-	n := len(off) - 1
-	for v := 0; v < n; v++ {
-		occStart := off[v]
-		for e := off[v]; e < off[v+1]; e++ {
-			x := adj[e]
-			if e > off[v] && adj[e-1] != x {
-				occStart = e
-			}
-			j := e - occStart
-			lo, hi := off[x], off[x+1]
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if adj[mid] < int32(v) {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			rev[e] = lo + j
-		}
-	}
-	return rev
-}
+// NewTopology returns nil. It keeps the signature its callers use, who
+// hand the result to graphio.NetStore.Save, which ignores it.
+func NewTopology(*hgraph.Network) *Topology { return nil }

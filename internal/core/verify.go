@@ -97,7 +97,7 @@ func (w *World) attestChain(v int, x int32, c int64, r int, budget int, path []i
 		if w.heldLog[r][x] < c {
 			return false, 1, false
 		}
-		next = w.topo.hAdj[w.topo.hOff[x]:w.topo.hOff[x+1]]
+		next = w.hAdj[w.hOff[x]:w.hOff[x+1]]
 	}
 	if budget == 0 {
 		return true, 1, byz

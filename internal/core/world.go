@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -15,11 +16,11 @@ import (
 // reads it freely (full-information model); honest node logic lives in the
 // engine (run.go) and only touches its own node's state within a round.
 //
-// A World is a reusable arena: NewWorld returns an empty one, Reset (or
-// ResetTopology) rewinds it for a run without reallocating steady-state
-// buffers, and Close releases its worker pool. The sweep runner keeps one
-// World per worker and reuses it across jobs; one-shot callers go through
-// the package-level Run, which wraps the same lifecycle.
+// A World is a reusable arena: NewWorld returns an empty one, Reset
+// rewinds it for a run without reallocating steady-state buffers, and
+// Close releases its worker pool. The sweep runner keeps one World per
+// worker and reuses it across jobs; one-shot callers go through the
+// package-level Run, which wraps the same lifecycle.
 type World struct {
 	Net   *hgraph.Network
 	Byz   []bool
@@ -27,9 +28,10 @@ type World struct {
 	Sched Schedule
 	Clock Clock
 
-	// topo is the immutable per-network half of the arena (CSR adjacency,
-	// reverse-edge index); everything below is mutable per-run state.
-	topo *Topology
+	// hOff/hAdj alias H's CSR arrays: node v's H-neighbors are
+	// hAdj[hOff[v]:hOff[v+1]]. They change only when Reset gets a
+	// different network; everything below is per-run state.
+	hOff, hAdj []int32
 
 	held         *sim.Exchange[int64]
 	heldBuf      []int64   // slab backing heldLog, zeroed on Reset
@@ -57,7 +59,12 @@ type World struct {
 	// honest. It replaces the seed engine's (b<<32|v) hash-map lookup in
 	// stepNode with one array index. Parallel edges share a slot, exactly
 	// as the map deduplicated them.
-	byzIn    []int32
+	byzIn []int32
+	// byzRev holds, for each H entry leaving a Byzantine node (byzList
+	// order, CSR order within a row), the CSR position of its reverse
+	// entry: the receiver's entry for the same edge, where byzIn holds
+	// its slot. Found per run by rebuildByzTables.
+	byzRev   []int32
 	byzSends []int64 // latched adversary sends for the current round
 	// byzRow[v] marks nodes with a Byzantine sender in their H row; the
 	// row-max kernel (stepNode) takes only rows without one.
@@ -65,7 +72,6 @@ type World struct {
 
 	counters       sim.Counters
 	pool           *sim.Pool
-	poolOwned      bool // whether Close should shut the pool down
 	globalRound    int64
 	adv            Adversary
 	activePerPhase []int
@@ -169,23 +175,11 @@ func resetSlice[T any](s []T, n int) []T {
 }
 
 // Reset rewinds the arena for a run of cfg on (net, byz, adv), reusing
-// every steady-state buffer from the previous run. Topology tables are
-// recomputed only when net differs from the previous Reset's network;
-// callers that already hold a Topology (the sweep cache) should use
-// ResetTopology instead.
+// every steady-state buffer from the previous run. State that depends on
+// the network alone is rebuilt only when net differs from the previous
+// Reset's network; net may be shared across arenas and goroutines, and
+// the World only reads it.
 func (w *World) Reset(net *hgraph.Network, byz []bool, adv Adversary, cfg Config) error {
-	topo := w.topo
-	if topo == nil || topo.Net != net {
-		topo = NewTopology(net)
-	}
-	return w.ResetTopology(topo, byz, adv, cfg)
-}
-
-// ResetTopology is Reset with the per-network tables supplied by the
-// caller. topo may be shared across arenas and goroutines; the World only
-// reads it.
-func (w *World) ResetTopology(topo *Topology, byz []bool, adv Adversary, cfg Config) error {
-	net := topo.Net
 	n := net.H.N()
 	if byz == nil {
 		w.zeroByz = resetSlice(w.zeroByz, n)
@@ -202,11 +196,13 @@ func (w *World) ResetTopology(topo *Topology, byz []bool, adv Adversary, cfg Con
 		adv = HonestAdversary{}
 	}
 
-	// Unmark the previous run's Byzantine slots before the topology or
+	// Unmark the previous run's Byzantine slots before the network or
 	// fault set underneath them changes.
 	w.clearByzIn()
-	topoChanged := w.topo != topo
-	w.topo = topo
+	netChanged := w.Net != net
+	if netChanged {
+		w.hOff, w.hAdj = net.H.CSR()
+	}
 	w.Net = net
 	w.Byz = byz
 	w.Cfg = cfg
@@ -248,7 +244,7 @@ func (w *World) ResetTopology(topo *Topology, byz []bool, adv Adversary, cfg Con
 		w.colorSrc[v].SeedSplit(cfg.Seed, uint64(v))
 	}
 
-	w.rebuildByzTables(topoChanged)
+	w.rebuildByzTables(netChanged)
 
 	w.counters.Reset()
 	w.globalRound = 0
@@ -270,19 +266,9 @@ func (w *World) ResetTopology(topo *Topology, byz []bool, adv Adversary, cfg Con
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	switch {
-	case cfg.Pool != nil:
-		if w.poolOwned && w.pool != nil {
-			w.pool.Close()
-		}
-		w.pool, w.poolOwned = cfg.Pool, false
-	case w.pool != nil && w.poolOwned && w.pool.Workers() == workers:
-		// Reuse the arena's pool from the previous run.
-	default:
-		if w.poolOwned && w.pool != nil {
-			w.pool.Close()
-		}
-		w.pool, w.poolOwned = sim.NewPool(workers), true
+	if w.pool == nil || w.pool.Workers() != workers {
+		w.Close()
+		w.pool = sim.NewPool(workers)
 	}
 
 	if w.stepFn == nil {
@@ -301,24 +287,20 @@ func (w *World) ResetTopology(topo *Topology, byz []bool, adv Adversary, cfg Con
 			acc.publish(&w.counters)
 		}
 	}
-	if topoChanged || w.exchBFS == nil {
+	if netChanged || w.exchBFS == nil {
 		w.exchBFS = graph.NewBFS(net.H)
 	}
 	return nil
 }
 
 // clearByzIn resets the slot marks left by the previous run's Byzantine
-// set, touching only the entries adjacent to those nodes (via the
-// reverse-edge index) instead of the whole O(E) table.
+// set, touching only the entries those nodes send on (via byzRev)
+// instead of the whole O(E) table.
 func (w *World) clearByzIn() {
-	if w.topo == nil || len(w.byzIn) != len(w.topo.hAdj) {
-		return
+	for _, r := range w.byzRev {
+		w.byzIn[r] = -1
 	}
-	for _, b := range w.byzList {
-		for e := w.topo.hOff[b]; e < w.topo.hOff[b+1]; e++ {
-			w.byzIn[w.topo.rev[e]] = -1
-		}
-	}
+	w.byzRev = w.byzRev[:0]
 }
 
 // rebuildByzTables assigns send slots for the current Byzantine set and
@@ -326,47 +308,68 @@ func (w *World) clearByzIn() {
 // seed engine's map-insertion order (Byzantine nodes ascending, CSR
 // adjacency order, parallel edges deduplicated), so latched values land
 // in the same slots the hash map would have used.
-func (w *World) rebuildByzTables(topoChanged bool) {
-	topo := w.topo
-	if topoChanged || len(w.byzIn) != len(topo.hAdj) {
-		w.byzIn = resetSlice(w.byzIn, len(topo.hAdj))
+//
+// It also finds each Byzantine entry's reverse position (byzRev). Rows
+// are sorted, so the occurrences of nb in b's row are contiguous, and the
+// j-th is paired with the j-th occurrence of b in nb's row, found by
+// binary search; a self-loop entry is its own reverse. This needs H
+// symmetric, which Build guarantees and graph.FromCSR checks.
+func (w *World) rebuildByzTables(netChanged bool) {
+	hOff, hAdj := w.hOff, w.hAdj
+	if netChanged || len(w.byzIn) != len(hAdj) {
+		w.byzIn = resetSlice(w.byzIn, len(hAdj))
 		for i := range w.byzIn {
 			w.byzIn[i] = -1
 		}
 	}
 	w.byzList = w.byzList[:0]
-	slots := int32(0)
-	n := topo.Net.H.N()
-	w.byzRow = resetSlice(w.byzRow, n)
+	n := len(hOff) - 1
+	entries := 0
 	for v := 0; v < n; v++ {
-		if !w.Byz[v] {
-			continue
+		if w.Byz[v] {
+			w.byzList = append(w.byzList, int32(v))
+			entries += int(hOff[v+1] - hOff[v])
 		}
-		w.byzList = append(w.byzList, int32(v))
+	}
+	w.byzRev = slices.Grow(w.byzRev[:0], entries)
+	w.byzRow = resetSlice(w.byzRow, n)
+	slots := int32(0)
+	for _, b := range w.byzList {
 		prev := int32(-1)
-		var s int32
-		for e := topo.hOff[v]; e < topo.hOff[v+1]; e++ {
-			nb := topo.hAdj[e]
+		var s, first int32
+		for e := hOff[b]; e < hOff[b+1]; e++ {
+			nb := hAdj[e]
 			if nb != prev {
 				s = slots
 				slots++
 				prev = nb
+				first = e
 			}
-			w.byzIn[topo.rev[e]] = s
+			lo, hi := hOff[nb], hOff[nb+1]
+			for lo < hi {
+				mid := (lo + hi) / 2
+				if hAdj[mid] < b {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			r := lo + e - first
+			w.byzRev = append(w.byzRev, r)
+			w.byzIn[r] = s
 			w.byzRow[nb] = true
 		}
 	}
 	w.byzSends = resetSlice(w.byzSends, int(slots))
 }
 
-// Close releases the arena's worker pool (if it owns one — a pool supplied
-// via Config.Pool belongs to the caller). The arena can be Reset and used
-// again afterwards.
+// Close releases the arena's worker pool. The arena can be Reset and
+// used again afterwards.
 func (w *World) Close() {
-	if w.poolOwned && w.pool != nil {
+	if w.pool != nil {
 		w.pool.Close()
 	}
-	w.pool, w.poolOwned = nil, false
+	w.pool = nil
 }
 
 // --- Read accessors (used by adversaries and reports) ---
@@ -427,7 +430,7 @@ func (w *World) viewNeighbors(v int, x int32) []int32 {
 			return claimed
 		}
 	}
-	return w.topo.hAdj[w.topo.hOff[x]:w.topo.hOff[x+1]]
+	return w.hAdj[w.hOff[x]:w.hOff[x+1]]
 }
 
 // activeCount returns the number of honest, uncrashed, undecided nodes.

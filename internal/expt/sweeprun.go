@@ -18,8 +18,8 @@ import (
 // holds O(1) results in memory instead of O(jobs · n).
 //
 // Execution cost per job is the arena steady state: each scheduler worker
-// reuses one core.World across its jobs, and cache-hit networks carry
-// their precomputed topology tables.
+// reuses one core.World across its jobs, on networks shared through the
+// network cache.
 func runSweep(jobs []sweep.Job, keep bool, obs func(sweep.Job) core.Observer) []sweep.Outcome {
 	outs, err := sweep.Run(jobs, sweep.Options{KeepResults: keep, Observer: obs})
 	if err != nil {

@@ -96,11 +96,13 @@ func (b *Builder) Build() *Graph {
 
 // FromCSR adopts prebuilt CSR arrays as a Graph after validating every
 // structural invariant Build guarantees: offsets starts at 0, is
-// monotone, and ends at len(adj); every adjacency entry is in range; and
-// each row is sorted ascending (multiplicities allowed). It is the entry
-// point for deserialized graphs — the binary network codec hands it
-// untrusted arrays, so it must reject rather than panic. The slices are
-// adopted, not copied; the caller must not modify them afterwards.
+// monotone, and ends at len(adj); every adjacency entry is in range;
+// each row is sorted ascending (multiplicities allowed); and the graph
+// is undirected, each row listing every neighbour as often as that
+// neighbour's row lists it (a self-loop once in its own row). It is the
+// entry point for deserialized graphs — the binary network codec hands
+// it untrusted arrays, so it must reject rather than panic. The slices
+// are adopted, not copied; the caller must not modify them afterwards.
 func FromCSR(offsets, adj []int32) (*Graph, error) {
 	n := len(offsets) - 1
 	if n < 0 {
@@ -134,7 +136,41 @@ func FromCSR(offsets, adj []int32) (*Graph, error) {
 			prev = w
 		}
 	}
+	if err := checkSymmetric(offsets, adj); err != nil {
+		return nil, err
+	}
 	return &Graph{n: n, offsets: offsets, adj: adj}, nil
+}
+
+// checkSymmetric compares valid, sorted CSR arrays with their transpose
+// in linear time. A counting-sort transpose built row by row in node
+// order has sorted rows, so the graph is undirected exactly when the two
+// are equal entry for entry.
+func checkSymmetric(offsets, adj []int32) error {
+	n := len(offsets) - 1
+	cursor := make([]int32, n)
+	for _, w := range adj {
+		cursor[w]++
+	}
+	for v := 0; v < n; v++ {
+		if cursor[v] != offsets[v+1]-offsets[v] {
+			return fmt.Errorf("graph: FromCSR not symmetric: row %d has %d entries, %d rows list it", v, offsets[v+1]-offsets[v], cursor[v])
+		}
+		cursor[v] = offsets[v]
+	}
+	transpose := make([]int32, len(adj))
+	for v := 0; v < n; v++ {
+		for _, w := range adj[offsets[v]:offsets[v+1]] {
+			transpose[cursor[w]] = int32(v)
+			cursor[w]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		if !slices.Equal(adj[offsets[v]:offsets[v+1]], transpose[offsets[v]:offsets[v+1]]) {
+			return fmt.Errorf("graph: FromCSR not symmetric at row %d", v)
+		}
+	}
+	return nil
 }
 
 // FromCSRUnchecked adopts CSR arrays the caller guarantees already satisfy

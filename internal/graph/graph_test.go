@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -449,6 +451,23 @@ func TestFromCSRRejectsInvalid(t *testing.T) {
 		"entry out of range": {[]int32{0, 1}, []int32{5}},
 		"unsorted row":       {[]int32{0, 2}, []int32{1, 0}},
 		"negative entry":     {[]int32{0, 1}, []int32{-1}},
+	}
+	// One entry of a 9-cycle rewritten in range, its row re-sorted: every
+	// check but symmetry passes. Node 0's row {1, 8} becomes {4, 8}, so
+	// node 4 is listed three times against its two entries; rewriting node
+	// 5's 4 to 1 as well balances every count and leaves only the
+	// transpose comparison to catch it.
+	off, adj := cycle(9).CSR()
+	asym := slices.Clone(adj)
+	asym[off[0]] = 4
+	slices.Sort(asym[off[0]:off[1]])
+	balanced := slices.Clone(asym)
+	balanced[off[5]] = 1
+	slices.Sort(balanced[off[5]:off[6]])
+	for name, a := range map[string][]int32{"asymmetric": asym, "asymmetric, counts balanced": balanced} {
+		if _, err := FromCSR(off, a); err == nil || !strings.Contains(err.Error(), "not symmetric") {
+			t.Errorf("%s: got %v, want a symmetry error", name, err)
+		}
 	}
 	for name, c := range cases {
 		if _, err := FromCSR(c.off, c.adj); err == nil {

@@ -2,14 +2,14 @@ package graphio
 
 // codec.go is the versioned binary network codec behind the persistent
 // topology store: one self-contained blob per generated instance holding
-// the hgraph.Network's state (params, H, IDs) and the engine's
-// precomputed core.Topology tables (the reverse-edge index), so a store
-// hit skips generation and table construction. The lattice network G =
-// H ∪ L is derived from H and never stored: the engine needs only its
-// adjacency length, which a loaded network counts from H on first use
-// (hgraph.Network.S). An n = 2048, d = 8 blob is 155,712 bytes.
+// the hgraph.Network's state (params, H, IDs), so a store hit skips
+// generation. The lattice network G = H ∪ L is derived from H and never
+// stored: the engine needs only its adjacency length, which a loaded
+// network counts from H on first use (hgraph.Network.S). Nor is any
+// engine table: the engine finds what it needs from H per run. An
+// n = 2048, d = 8 blob is 90,176 bytes.
 //
-// Format v3, all little-endian:
+// Format v4, all little-endian:
 //
 //	magic   [4]byte  "BZNT"
 //	version u16      CodecVersion
@@ -18,27 +18,27 @@ package graphio
 //	netK    u64      resolved lattice radius
 //	hLen    u64      len(H adjacency)
 //	payload          H offsets (N+1 × i32), H adj (hLen × i32),
-//	                 IDs (N × u64), rev (hLen × i32)
+//	                 IDs (N × u64)
 //	crc     u32      CRC-32C (Castagnoli) over everything above
 //
-// v3 is v2 without G's length field and its optional G section.
+// v4 is v3 without the reverse-edge index that followed the IDs.
 //
-// The reader is fuzzed (FuzzReadNetwork): truncation, bit flips, version
-// skew, and fabricated lengths must produce errors, never panics or
-// unbounded allocation — the header's implied size must equal the
-// blob's real size before anything is allocated, and every structural
-// invariant is re-validated (graph.FromCSR, core.TopologyFromRev) before
-// anything is handed to the engine.
+// A blob is encoded into one buffer of exactly its size and decoded from
+// one byte slice. The decoder is fuzzed (FuzzReadNetwork): truncation,
+// bit flips, version skew, and fabricated lengths must produce errors,
+// never panics or unbounded allocation — the header's implied size must
+// equal the blob's real size before the payload is read or allocated
+// (readBlob), and every structural invariant is re-validated
+// (graph.FromCSR, which also checks that H is symmetric) before anything
+// is handed to the engine.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hgraph"
 )
@@ -46,7 +46,7 @@ import (
 // CodecVersion is the current binary format version. Bump it on any
 // format change: the store namespaces its files by version, so old blobs
 // are simply never opened rather than misparsed.
-const CodecVersion = 3
+const CodecVersion = 4
 
 var netMagic = [4]byte{'B', 'Z', 'N', 'T'}
 
@@ -64,122 +64,52 @@ var ErrCodecVersion = errors.New("graphio: network blob codec version mismatch")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// WriteNetwork encodes net (and its engine tables; topo may be nil to
-// derive them here) to w in the binary codec format.
-func WriteNetwork(w io.Writer, net *hgraph.Network, topo *core.Topology) error {
-	if topo == nil {
-		topo = core.NewTopology(net)
-	} else if topo.Net != net {
-		return fmt.Errorf("graphio: topology belongs to a different network")
-	}
+// EncodeNetwork returns net's blob in the binary codec format.
+func EncodeNetwork(net *hgraph.Network) []byte {
 	hOff, hAdj := net.H.CSR()
-
-	crc := crc32.New(crcTable)
-	out := io.MultiWriter(w, crc)
-
-	var hdr [headerLen]byte
-	copy(hdr[0:4], netMagic[:])
-	binary.LittleEndian.PutUint16(hdr[4:6], CodecVersion)
-	binary.LittleEndian.PutUint16(hdr[6:8], 0)
-	for i, v := range []uint64{
-		uint64(net.Params.N), uint64(net.Params.D), uint64(net.Params.K),
-		net.Params.Seed, uint64(net.K), uint64(len(hAdj)),
-	} {
-		binary.LittleEndian.PutUint64(hdr[8+8*i:], v)
+	n, hLen := uint64(net.Params.N), uint64(len(hAdj))
+	blob := make([]byte, blobSize(n, hLen))
+	copy(blob[0:4], netMagic[:])
+	binary.LittleEndian.PutUint16(blob[4:6], CodecVersion)
+	for i, v := range []uint64{n, uint64(net.Params.D), uint64(net.Params.K),
+		net.Params.Seed, uint64(net.K), hLen} {
+		binary.LittleEndian.PutUint64(blob[8+8*i:], v)
 	}
-	if _, err := out.Write(hdr[:]); err != nil {
-		return err
-	}
-	buf := make([]byte, encodeChunk*4)
+	b := blob[headerLen:]
 	for _, s := range [][]int32{hOff, hAdj} {
-		if err := writeI32s(out, s, buf); err != nil {
-			return err
+		for _, v := range s {
+			binary.LittleEndian.PutUint32(b, uint32(v))
+			b = b[4:]
 		}
 	}
-	if err := writeU64s(out, net.IDs, buf); err != nil {
-		return err
+	for _, v := range net.IDs {
+		binary.LittleEndian.PutUint64(b, v)
+		b = b[8:]
 	}
-	if err := writeI32s(out, topo.Rev(), buf); err != nil {
-		return err
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := w.Write(tail[:])
-	return err
+	binary.LittleEndian.PutUint32(b, crc32.Checksum(blob[:len(blob)-4], crcTable))
+	return blob
 }
 
-// encodeChunk is the element count per encode/decode buffer pass.
-const encodeChunk = 16 * 1024
-
-func writeI32s(w io.Writer, s []int32, buf []byte) error {
-	for len(s) > 0 {
-		n := min(len(s), encodeChunk)
-		for i, v := range s[:n] {
-			binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-		}
-		if _, err := w.Write(buf[:4*n]); err != nil {
-			return err
-		}
-		s = s[n:]
-	}
-	return nil
+// header is a blob header's decoded fields.
+type header struct {
+	params  hgraph.Params
+	netK    int
+	n, hLen uint64
 }
 
-func writeU64s(w io.Writer, s []uint64, buf []byte) error {
-	for len(s) > 0 {
-		n := min(len(s), encodeChunk/2)
-		for i, v := range s[:n] {
-			binary.LittleEndian.PutUint64(buf[8*i:], v)
-		}
-		if _, err := w.Write(buf[:8*n]); err != nil {
-			return err
-		}
-		s = s[n:]
-	}
-	return nil
-}
-
-// crcReader tees everything read through a running CRC-32C.
-type crcReader struct {
-	r   io.Reader
-	crc hash.Hash32
-}
-
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	if n > 0 {
-		cr.crc.Write(p[:n])
-	}
-	return n, err
-}
-
-// ReadNetworkSized decodes a network blob written by WriteNetwork, of
-// size bytes in total (the store stats its files), returning the network
-// and its reassembled engine tables. The header's implied size must
-// match size exactly — rejecting length lies before any allocation —
-// which licenses allocating every array at its final size. Every failure
-// mode of a damaged blob — truncation, flipped bits, version skew,
-// trailing garbage, fabricated structure — returns an error; the
-// function never panics on any input. This is the store's hot path; a
-// disk hit's cost is mostly this function.
-func ReadNetworkSized(r io.Reader, size int64) (*hgraph.Network, *core.Topology, error) {
-	if size < 0 {
-		return nil, nil, fmt.Errorf("graphio: negative blob size")
-	}
-	cr := &crcReader{r: r, crc: crc32.New(crcTable)}
-
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(cr, hdr[:]); err != nil {
-		return nil, nil, fmt.Errorf("graphio: network blob header: %w", err)
-	}
+// parseHeader validates the first headerLen bytes of a blob that is size
+// bytes long in total: magic, version, flags, params, the lattice radius
+// and the exact size the header implies. Once it passes, every length in
+// the header is backed by real bytes.
+func parseHeader(hdr []byte, size int64) (header, error) {
 	if [4]byte(hdr[0:4]) != netMagic {
-		return nil, nil, fmt.Errorf("graphio: bad network blob magic %q", hdr[0:4])
+		return header{}, fmt.Errorf("graphio: bad network blob magic %q", hdr[0:4])
 	}
 	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != CodecVersion {
-		return nil, nil, fmt.Errorf("%w: blob v%d, codec v%d", ErrCodecVersion, v, CodecVersion)
+		return header{}, fmt.Errorf("%w: blob v%d, codec v%d", ErrCodecVersion, v, CodecVersion)
 	}
 	if f := binary.LittleEndian.Uint16(hdr[6:8]); f != 0 {
-		return nil, nil, fmt.Errorf("graphio: unknown network blob flags %#x", f)
+		return header{}, fmt.Errorf("graphio: unknown network blob flags %#x", f)
 	}
 	var fields [6]uint64
 	for i := range fields {
@@ -188,105 +118,91 @@ func ReadNetworkSized(r io.Reader, size int64) (*hgraph.Network, *core.Topology,
 	n, d, k, seed := fields[0], fields[1], fields[2], fields[3]
 	netK, hLen := fields[4], fields[5]
 	if n < 3 || n > maxCodecNodes {
-		return nil, nil, fmt.Errorf("graphio: network blob claims %d nodes", n)
+		return header{}, fmt.Errorf("graphio: network blob claims %d nodes", n)
 	}
 	p := hgraph.Params{N: int(n), D: int(d), K: int(k), Seed: seed}
 	if d > uint64(maxCodecNodes) || k > uint64(maxCodecNodes) {
-		return nil, nil, fmt.Errorf("graphio: network blob params out of range")
+		return header{}, fmt.Errorf("graphio: network blob params out of range")
 	}
 	if err := p.Validate(); err != nil {
-		return nil, nil, err
+		return header{}, err
 	}
 	if netK != uint64(p.Canonical().K) {
-		return nil, nil, fmt.Errorf("graphio: blob lattice radius %d does not match params", netK)
+		return header{}, fmt.Errorf("graphio: blob lattice radius %d does not match params", netK)
 	}
 	if hLen >= 1<<31 {
-		return nil, nil, fmt.Errorf("graphio: network blob claims oversized adjacency")
+		return header{}, fmt.Errorf("graphio: network blob claims oversized adjacency")
 	}
-	// The header's implied size must match the real one, after which
-	// every length is proven backed by real bytes.
 	if want := blobSize(n, hLen); want != size {
-		return nil, nil, fmt.Errorf("graphio: network blob is %d bytes, header implies %d", size, want)
+		return header{}, fmt.Errorf("graphio: network blob is %d bytes, header implies %d", size, want)
 	}
+	return header{params: p, netK: int(netK), n: n, hLen: hLen}, nil
+}
 
-	buf := make([]byte, 8*min(max(n, hLen)+1, encodeChunk))
-	hOff, err := readI32s(cr, int(n)+1, buf)
-	if err != nil {
-		return nil, nil, err
+// readBlob reads a blob of size bytes from r. It reads the header first
+// and rejects a size the header disagrees with before it reads or
+// allocates the payload; a reader that ends early or runs on past size
+// is an error too.
+func readBlob(r io.Reader, size int64) ([]byte, error) {
+	var hdr [headerLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("graphio: network blob header: %w", err)
 	}
-	hAdj, err := readI32s(cr, int(hLen), buf)
-	if err != nil {
-		return nil, nil, err
+	if _, err := parseHeader(hdr[:], size); err != nil {
+		return nil, err
 	}
-	ids, err := readU64s(cr, int(n), buf)
-	if err != nil {
-		return nil, nil, err
+	blob := make([]byte, size)
+	copy(blob, hdr[:])
+	if _, err := io.ReadFull(r, blob[headerLen:]); err != nil {
+		return nil, fmt.Errorf("graphio: network blob truncated: %w", err)
 	}
-	rev, err := readI32s(cr, int(hLen), buf)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	want := cr.crc.Sum32()
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return nil, nil, fmt.Errorf("graphio: network blob checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != want {
-		return nil, nil, fmt.Errorf("graphio: network blob checksum mismatch (stored %08x, computed %08x)", got, want)
-	}
-	// A blob is a complete file: trailing bytes mean the caller handed us
-	// something else (or a concatenation) — reject rather than half-read.
 	if extra, err := io.CopyN(io.Discard, r, 1); extra != 0 || err != io.EOF {
-		return nil, nil, fmt.Errorf("graphio: trailing data after network blob")
+		return nil, fmt.Errorf("graphio: trailing data after network blob")
 	}
+	return blob, nil
+}
 
-	h, err := graph.FromCSR(hOff, hAdj)
-	if err != nil {
-		return nil, nil, fmt.Errorf("graphio: blob H graph: %w", err)
+// DecodeNetwork decodes a blob written by EncodeNetwork. Every failure
+// mode of a damaged blob — truncation, flipped bits, version skew,
+// trailing garbage, fabricated structure — returns an error; the
+// function never panics on any input. This is the store's hot path; a
+// disk hit's cost is mostly this function and the read before it.
+func DecodeNetwork(blob []byte) (*hgraph.Network, error) {
+	if len(blob) < headerLen {
+		return nil, fmt.Errorf("graphio: network blob header: %w", io.ErrUnexpectedEOF)
 	}
-	net := &hgraph.Network{Params: p, H: h, K: int(netK), IDs: ids}
-	topo, err := core.TopologyFromRev(net, rev)
+	h, err := parseHeader(blob[:headerLen], int64(len(blob)))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return net, topo, nil
+	body := blob[:len(blob)-4]
+	stored := binary.LittleEndian.Uint32(blob[len(body):])
+	if sum := crc32.Checksum(body, crcTable); stored != sum {
+		return nil, fmt.Errorf("graphio: network blob checksum mismatch (stored %08x, computed %08x)", stored, sum)
+	}
+	b := body[headerLen:]
+	i32s := func(count uint64) []int32 {
+		out := make([]int32, count)
+		for i := range out {
+			out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+		b = b[4*count:]
+		return out
+	}
+	hOff := i32s(h.n + 1)
+	hAdj := i32s(h.hLen)
+	ids := make([]uint64, h.n)
+	for i := range ids {
+		ids[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	g, err := graph.FromCSR(hOff, hAdj)
+	if err != nil {
+		return nil, fmt.Errorf("graphio: blob H graph: %w", err)
+	}
+	return &hgraph.Network{Params: h.params, H: g, K: h.netK, IDs: ids}, nil
 }
 
 // blobSize returns the exact encoded size implied by the header fields.
 func blobSize(n, hLen uint64) int64 {
-	return headerLen + 4*int64(n+1+2*hLen) + 8*int64(n) + 4
-}
-
-// readI32s decodes count little-endian int32s, which the caller has
-// proved the blob holds, into a slice allocated at its final size.
-func readI32s(r io.Reader, count int, buf []byte) ([]int32, error) {
-	out := make([]int32, count)
-	for done := 0; done < count; {
-		n := min(count-done, len(buf)/4)
-		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
-			return nil, fmt.Errorf("graphio: network blob truncated: %w", err)
-		}
-		for i := range out[done : done+n] {
-			out[done+i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-		done += n
-	}
-	return out, nil
-}
-
-// readU64s is readI32s for uint64 payloads.
-func readU64s(r io.Reader, count int, buf []byte) ([]uint64, error) {
-	out := make([]uint64, count)
-	for done := 0; done < count; {
-		n := min(count-done, len(buf)/8)
-		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
-			return nil, fmt.Errorf("graphio: network blob truncated: %w", err)
-		}
-		for i := range out[done : done+n] {
-			out[done+i] = binary.LittleEndian.Uint64(buf[8*i:])
-		}
-		done += n
-	}
-	return out, nil
+	return headerLen + 4*int64(n+1+hLen) + 8*int64(n) + 4
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/hgraph"
 )
 
@@ -28,12 +27,7 @@ func FuzzReadNetwork(f *testing.F) {
 		{N: 8, D: 4, Seed: 1},
 		{N: 24, D: 6, K: 2, Seed: 5},
 	} {
-		net := hgraph.MustNew(p)
-		var buf bytes.Buffer
-		if err := WriteNetwork(&buf, net, core.NewTopology(net)); err != nil {
-			f.Fatal(err)
-		}
-		valid := buf.Bytes()
+		valid := EncodeNetwork(hgraph.MustNew(p))
 		f.Add(bytes.Clone(valid))
 		f.Add(bytes.Clone(valid[:len(valid)/2])) // payload truncation
 		f.Add(bytes.Clone(valid[:37]))           // mid-header truncation
@@ -50,19 +44,15 @@ func FuzzReadNetwork(f *testing.F) {
 	f.Add([]byte("BZNT"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		net, topo, err := ReadNetworkSized(bytes.NewReader(data), int64(len(data)))
+		net, err := DecodeNetwork(data)
 		if err != nil {
 			return
 		}
-		if net == nil || topo == nil {
-			t.Fatal("accepted blob returned nil network or topology")
+		if net == nil {
+			t.Fatal("accepted blob returned a nil network")
 		}
 		// Accepted inputs are canonical: encode(decode(data)) == data.
-		var buf bytes.Buffer
-		if err := WriteNetwork(&buf, net, topo); err != nil {
-			t.Fatalf("re-encode of accepted blob failed: %v", err)
-		}
-		if !bytes.Equal(buf.Bytes(), data) {
+		if !bytes.Equal(EncodeNetwork(net), data) {
 			t.Fatal("accepted blob is not canonical: re-encoding differs")
 		}
 		// The decoded instance must be safe for the engine and for

@@ -5,7 +5,7 @@ package graphio
 // generation parameters. It is the disk tier below the sweep scheduler's
 // in-memory network LRU — a sweep (or a netgen -pregen run) pays H's
 // generation once per (n, d, k, seed) ever, not once per process. A blob
-// holds H, the IDs and the reverse-edge index, never G (see codec.go).
+// holds H and the IDs, never G or an engine table (see codec.go).
 //
 // Layout: <root>/v<CodecVersion>/<sha256(params)>.net — the version
 // namespace means a codec bump simply stops finding old blobs instead of
@@ -17,7 +17,6 @@ package graphio
 // back to regeneration (and their subsequent Save heals the entry).
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -38,10 +37,10 @@ import (
 // process's temp file would otherwise leak forever, one per kill.
 const tempMaxAge = 15 * time.Minute
 
-// NetStore is a persistent content-addressed store of generated networks
-// and their engine tables. Methods are safe for concurrent use (the
-// filesystem provides the coordination: reads open complete files,
-// writes rename complete temp files into place).
+// NetStore is a persistent content-addressed store of generated
+// networks. Methods are safe for concurrent use (the filesystem provides
+// the coordination: reads open complete files, writes rename complete
+// temp files into place).
 type NetStore struct {
 	dir string // versioned directory all blobs live in
 
@@ -49,7 +48,7 @@ type NetStore struct {
 	hook func(SaveFile) SaveFile
 }
 
-// SaveFile is the write surface Save streams a blob through before the
+// SaveFile is the write surface Save writes a blob through before the
 // atomic rename (an *os.File normally). Chaos tests wrap it via
 // SetSaveHook to inject short writes and ENOSPC on the temp file.
 type SaveFile interface {
@@ -129,35 +128,39 @@ func (s *NetStore) Has(p hgraph.Params) bool {
 // Load reads the stored network for p, verifying the blob decodes
 // cleanly and that its parameters match the request (a hash collision or
 // a file copied between keys surfaces as an error, never as a wrong
-// topology). A missing blob returns an error satisfying
-// errors.Is(err, os.ErrNotExist).
-func (s *NetStore) Load(p hgraph.Params) (*hgraph.Network, *core.Topology, error) {
+// topology). A file whose size disagrees with its header is rejected
+// before its payload is read or allocated. A missing blob returns an
+// error satisfying errors.Is(err, os.ErrNotExist).
+func (s *NetStore) Load(p hgraph.Params) (*hgraph.Network, error) {
 	f, err := os.Open(s.Path(p))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	// The header's implied size must match the file's, after which every
-	// array allocates once.
-	net, topo, err := ReadNetworkSized(bufio.NewReaderSize(f, 1<<20), st.Size())
+	blob, err := readBlob(f, st.Size())
 	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", s.Path(p), err)
+		return nil, fmt.Errorf("%s: %w", s.Path(p), err)
+	}
+	net, err := DecodeNetwork(blob)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", s.Path(p), err)
 	}
 	if net.Params.Canonical() != p.Canonical() {
-		return nil, nil, fmt.Errorf("graphio: blob %s holds params %+v, want %+v", s.Path(p), net.Params, p)
+		return nil, fmt.Errorf("graphio: blob %s holds params %+v, want %+v", s.Path(p), net.Params, p)
 	}
-	return net, topo, nil
+	return net, nil
 }
 
-// Save persists net (and topo; nil derives the tables here) under its
-// parameters' content address, atomically. A save that fails mid-write
-// removes its temp file and leaves the live name untouched — a failed
-// save can never poison a later Load.
-func (s *NetStore) Save(net *hgraph.Network, topo *core.Topology) error {
+// Save persists net under its parameters' content address, atomically,
+// writing the blob in one call. The second parameter is ignored; it keeps
+// the signature its callers use. A save that fails mid-write removes its
+// temp file and leaves the live name untouched — a failed save can never
+// poison a later Load.
+func (s *NetStore) Save(net *hgraph.Network, _ *core.Topology) error {
 	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("graphio: net store save: %w", err)
@@ -170,11 +173,7 @@ func (s *NetStore) Save(net *hgraph.Network, topo *core.Topology) error {
 		// The wrapper owns forwarding Close to the temp file.
 		w = hook(tmp)
 	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	err = WriteNetwork(bw, net, topo)
-	if err == nil {
-		err = bw.Flush()
-	}
+	_, err = w.Write(EncodeNetwork(net))
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}

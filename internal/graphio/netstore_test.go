@@ -64,7 +64,7 @@ func TestNetStoreFailedSaveNoPoison(t *testing.T) {
 	if store.Has(p) {
 		t.Fatal("failed save left a blob under the live name")
 	}
-	if _, _, err := store.Load(p); !errors.Is(err, os.ErrNotExist) {
+	if _, err := store.Load(p); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("Load after failed save = %v, want ErrNotExist", err)
 	}
 	if n := countTemps(t, store.Dir()); n != 0 {
@@ -76,7 +76,7 @@ func TestNetStoreFailedSaveNoPoison(t *testing.T) {
 	if err := store.Save(net, nil); err != nil {
 		t.Fatalf("clean Save after faulted one: %v", err)
 	}
-	loaded, _, err := store.Load(p)
+	loaded, err := store.Load(p)
 	if err != nil {
 		t.Fatalf("Load after heal: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/graphio"
 	"repro/internal/hgraph"
 	"repro/internal/obs"
@@ -28,18 +27,17 @@ import (
 // DefaultCacheCap, since trial is the innermost axis) misses on every
 // job; the disk tier is what makes those misses cheap.
 //
-// Each entry carries the engine's precomputed tables (core.Topology:
-// CSR adjacency plus the reverse-edge index behind the Byzantine
-// send-slot table) alongside the network — the disk tier persists both,
-// so a disk hit skips table construction too. A corrupt, stale, or
-// version-skewed blob fails validation inside the store, and the cache
-// falls back to regeneration (the subsequent save heals the entry).
+// An entry is the network alone: the engine derives what else it needs
+// from H per run, so there are no tables to build, cache or persist. A
+// corrupt, stale, or version-skewed blob fails validation inside the
+// store, and the cache falls back to regeneration (the subsequent save
+// heals the entry).
 //
-// Cached networks and topologies are shared across jobs and must be
-// treated as immutable; the protocol engine only reads them, apart from
-// counting a network's S once on first use, which hgraph.Network makes
-// safe for concurrent callers. Neither tier holds G = H ∪ L: a network
-// is H, the IDs and S, and the engine never builds G.
+// Cached networks are shared across jobs and must be treated as
+// immutable; the protocol engine only reads them, apart from counting a
+// network's S once on first use, which hgraph.Network makes safe for
+// concurrent callers. Neither tier holds G = H ∪ L: a network is H, the
+// IDs and S, and the engine never builds G.
 type NetCache struct {
 	mu     sync.Mutex
 	cap    int
@@ -83,9 +81,8 @@ func newCacheTelemetry(reg *obs.Registry) cacheTelemetry {
 
 type cacheEntry struct {
 	key   hgraph.Params
-	ready chan struct{} // closed once net/topo/err are set
+	ready chan struct{} // closed once net/err are set
 	net   *hgraph.Network
-	topo  *core.Topology
 	err   error
 	// Telemetry for the load that filled the entry, set before ready is
 	// closed: which tier satisfied it and what the creator paid.
@@ -190,6 +187,26 @@ func EnvNetStore() *graphio.NetStore {
 	return store
 }
 
+// ResolveCache builds the network cache that cmd/sweep's and cmd/sweepd
+// -worker's -cache and -netstore flags select: capacity networks (<= 0:
+// DefaultCacheCap) over the store netstore names, in ResolveNetStore's
+// vocabulary, or over the REPRO_NETSTORE default when netstore is "". A
+// store named explicitly that cannot be opened is an error — sweeping
+// without it would regenerate every topology the user asked to serve
+// from disk — while the environment's store stays best effort
+// (EnvNetStore). The flag is resolved before any cache exists, so an
+// override never opens (or mkdirs) the environment's store.
+func ResolveCache(capacity int, netstore string) (*NetCache, error) {
+	if netstore == "" {
+		return NewNetCache(capacity), nil
+	}
+	store, err := ResolveNetStore(netstore)
+	if err != nil {
+		return nil, err
+	}
+	return NewNetCacheWithStore(capacity, store), nil
+}
+
 // Get returns the network for p, generating it on first use. Concurrent
 // callers with equal canonical Params share one generation.
 func (c *NetCache) Get(p hgraph.Params) (*hgraph.Network, error) {
@@ -197,25 +214,15 @@ func (c *NetCache) Get(p hgraph.Params) (*hgraph.Network, error) {
 	return e.net, e.err
 }
 
-// GetTopology returns the precomputed engine tables for p's network,
-// generated (and cached alongside the network) on first use. Cache-hit
-// jobs hand the shared Topology straight to an arena's RunTopology, so a
-// topology is CSR-indexed exactly once no matter how many grid cells run
-// on it.
-func (c *NetCache) GetTopology(p hgraph.Params) (*core.Topology, error) {
-	e, _ := c.entry(p)
-	return e.topo, e.err
-}
-
-// GetTopologyInfo is GetTopology plus how the lookup was satisfied —
-// the sweep runner's stage-timing source.
-func (c *NetCache) GetTopologyInfo(p hgraph.Params) (*core.Topology, TierInfo, error) {
+// GetInfo is Get plus how the lookup was satisfied — the sweep runner's
+// stage-timing source.
+func (c *NetCache) GetInfo(p hgraph.Params) (*hgraph.Network, TierInfo, error) {
 	e, created := c.entry(p)
 	info := TierInfo{Tier: TierMem}
 	if created {
 		info = TierInfo{Tier: e.tier, Creator: true, Generate: e.genTime, DiskLoad: e.loadTime}
 	}
-	return e.topo, info, e.err
+	return e.net, info, e.err
 }
 
 // entry returns the ready cache entry for p, generating it on first use;
@@ -253,15 +260,15 @@ func (c *NetCache) entry(p hgraph.Params) (e *cacheEntry, created bool) {
 	c.mu.Unlock()
 	tele.memMisses.Inc()
 
-	// Disk tier first: a valid blob replaces both generation and table
-	// construction. Any load failure — missing, corrupt, stale, version
-	// skew — falls through to regeneration.
+	// Disk tier first: a valid blob replaces generation. Any load
+	// failure — missing, corrupt, stale, version skew — falls through to
+	// regeneration.
 	healable := false
 	if c.store != nil {
 		start := time.Now()
-		net, topo, err := c.store.Load(p)
+		net, err := c.store.Load(p)
 		if err == nil {
-			e.net, e.topo = net, topo
+			e.net = net
 			e.tier = TierDisk
 			e.loadTime = time.Since(start)
 			c.mu.Lock()
@@ -279,14 +286,13 @@ func (c *NetCache) entry(p hgraph.Params) (e *cacheEntry, created bool) {
 	start := time.Now()
 	e.net, e.err = hgraph.New(p)
 	if e.err == nil {
-		e.topo = core.NewTopology(e.net)
 		e.tier = TierGen
 		e.genTime = time.Since(start)
 		tele.gen.Observe(e.genTime)
 		if c.store != nil {
 			// Best effort: a failed save costs a regeneration next
 			// process, not this job.
-			if c.store.Save(e.net, e.topo) == nil && healable {
+			if c.store.Save(e.net, nil) == nil && healable {
 				tele.diskHeals.Inc()
 			}
 		}

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -45,12 +46,9 @@ func TestNetCacheDiskTier(t *testing.T) {
 	if net1.Digest() != net2.Digest() {
 		t.Fatal("disk-served network differs from generated one")
 	}
-	if _, err := warm.GetTopology(p); err != nil {
-		t.Fatal(err)
-	}
 	// Second lookup is a memory hit; disk count must not move.
-	if _, err := warm.Get(p); err != nil {
-		t.Fatal(err)
+	if _, info, err := warm.GetInfo(p); err != nil || info.Tier != TierMem || info.Creator {
+		t.Fatalf("second lookup: tier %q creator %v err %v, want a memory hit", info.Tier, info.Creator, err)
 	}
 	if hits, _ := warm.DiskStats(); hits != 1 {
 		t.Fatalf("memory hit consulted the disk tier (hits=%d)", hits)
@@ -170,5 +168,58 @@ func TestEnvNetStore(t *testing.T) {
 	}
 	if s.Len() == 0 {
 		t.Fatal("env-selected store not populated by generation")
+	}
+}
+
+// TestResolveCache pins the -cache/-netstore resolution both commands
+// share: a cache is always returned, its store is the flag's if one is
+// named, else REPRO_NETSTORE's (best effort), and a named store that
+// cannot be opened is an error.
+func TestResolveCache(t *testing.T) {
+	envDir, flagDir := t.TempDir(), t.TempDir()
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, env, flag string
+		capacity        int
+		wantCap         int
+		wantRoot        string // "" = no store
+		wantErr         bool
+	}{
+		{name: "defaults", wantCap: DefaultCacheCap},
+		{name: "capacity", capacity: 7, wantCap: 7},
+		{name: "env store", env: envDir, wantCap: DefaultCacheCap, wantRoot: envDir},
+		{name: "env off", env: "off", wantCap: DefaultCacheCap},
+		{name: "env unopenable degrades", env: file, wantCap: DefaultCacheCap},
+		{name: "flag store", flag: flagDir, capacity: 3, wantCap: 3, wantRoot: flagDir},
+		{name: "flag overrides env", env: envDir, flag: flagDir, wantCap: DefaultCacheCap, wantRoot: flagDir},
+		{name: "flag off overrides env", env: envDir, flag: "off", wantCap: DefaultCacheCap},
+		{name: "flag unopenable", flag: file, wantErr: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Setenv("REPRO_NETSTORE", c.env)
+			cache, err := ResolveCache(c.capacity, c.flag)
+			if c.wantErr {
+				if err == nil {
+					t.Fatal("unopenable -netstore accepted")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cache.cap != c.wantCap {
+				t.Errorf("capacity %d, want %d", cache.cap, c.wantCap)
+			}
+			root := ""
+			if cache.store != nil {
+				root = filepath.Dir(cache.store.Dir())
+			}
+			if root != c.wantRoot {
+				t.Errorf("store root %q, want %q", root, c.wantRoot)
+			}
+		})
 	}
 }

@@ -66,7 +66,7 @@ type Options struct {
 
 // StageTimes partitions one job's wall-clock time across the runner's
 // stages, as observed by the job's worker. CacheLookup is the full
-// GetTopologyInfo call — including time blocked on another worker's
+// GetInfo call — including time blocked on another worker's
 // in-flight load — while Generate and DiskLoad are attributed only to
 // the job that performed the work (TierInfo.Creator), so summed stage
 // totals never double count a shared generation. Generate covers H, K
@@ -232,8 +232,7 @@ func RunContext(ctx context.Context, jobs []Job, opts Options) ([]Outcome, error
 			defer wg.Done()
 			// One simulation arena per worker, reused across jobs: the
 			// engine's per-run state and sim.Pool are rewound by Reset
-			// instead of reallocated, and cache-hit jobs reuse the
-			// cached network's precomputed topology tables.
+			// instead of reallocated.
 			arena := core.NewWorld()
 			defer arena.Close()
 			for i := range work {
@@ -369,7 +368,7 @@ func execute(j Job, opts Options, arena *core.World, tele runTelemetry) Outcome 
 	out := Outcome{Job: j}
 	start := time.Now()
 
-	topo, info, err := opts.Cache.GetTopologyInfo(j.Net)
+	net, info, err := opts.Cache.GetInfo(j.Net)
 	out.Stages.CacheLookup = time.Since(start)
 	tele.stageLookup.Observe(out.Stages.CacheLookup)
 	if err != nil {
@@ -387,7 +386,6 @@ func execute(j Job, opts Options, arena *core.World, tele runTelemetry) Outcome 
 			tele.stageDisk.Observe(info.DiskLoad)
 		}
 	}
-	net := topo.Net
 	var byz []bool
 	if j.ByzCount > 0 {
 		pl, ok := hgraph.PlacementByName(j.Placement)
@@ -409,7 +407,7 @@ func execute(j Job, opts Options, arena *core.World, tele runTelemetry) Outcome 
 		cfg.Observer = obs
 	}
 	runStart := time.Now()
-	res, err := arena.RunTopology(topo, byz, adv, cfg)
+	res, err := arena.Run(net, byz, adv, cfg)
 	out.Stages.Run = time.Since(runStart)
 	tele.stageRun.Observe(out.Stages.Run)
 	if err != nil {

@@ -3,17 +3,9 @@ package sweep
 // shard.go is the distributed-sharding support the sweepd service builds
 // on (DESIGN §5): a Spec's pending jobs partition into contiguous
 // content-key ranges — deterministic for a given job list, so every
-// coordinator restart carves identical shards — and the append-only
-// JSONL stores the shards produce merge back by concatenation with
-// key-level dedup.
+// coordinator restart carves identical shards.
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
-	"sort"
-)
+import "sort"
 
 // PartitionByKey splits pending (indices into jobs) into at most shards
 // contiguous ranges of the Job.Key() order. Keys are hex SHA-256, so the
@@ -51,49 +43,4 @@ func PartitionByKey(jobs []Job, pending []int, shards int) [][]int {
 		out = append(out, shard)
 	}
 	return out
-}
-
-// MergeStores folds the records of each src store file into the store at
-// dstPath, in src order (concatenation semantics), skipping any key the
-// destination already holds — so merging a shard store twice, or merging
-// shards that overlap because a reassigned shard was computed by two
-// workers, is idempotent. Sources are read with the store's usual line
-// tolerance (unparseable lines skipped). Returns the number of records
-// appended.
-func MergeStores(dstPath string, srcPaths ...string) (added int, err error) {
-	dst, err := OpenStore(dstPath)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		if cerr := dst.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	for _, src := range srcPaths {
-		data, err := os.ReadFile(src)
-		if err != nil {
-			return added, fmt.Errorf("sweep: merge store: %w", err)
-		}
-		for len(data) > 0 {
-			line := data
-			if nl := bytes.IndexByte(data, '\n'); nl >= 0 {
-				line, data = data[:nl], data[nl+1:]
-			} else {
-				data = nil
-			}
-			var rec Record
-			if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
-				continue
-			}
-			if _, ok := dst.Lookup(rec.Key); ok {
-				continue
-			}
-			if err := dst.Put(rec); err != nil {
-				return added, err
-			}
-			added++
-		}
-	}
-	return added, nil
 }

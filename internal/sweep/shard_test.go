@@ -2,79 +2,16 @@ package sweep
 
 // Tests for the sharding primitives (PartitionByKey lives under
 // internal/sweepd's end-to-end tests too) and the crash-safety store
-// additions: MergeStores dedup, Sync/SyncEvery, and RunContext's abort
-// drain.
+// additions: Sync/SyncEvery and RunContext's abort drain.
 
 import (
 	"context"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
 )
-
-// TestMergeStores folds two overlapping shard stores into a destination
-// that already holds part of the grid: every key lands exactly once,
-// overlaps are skipped, and a reload sees the union.
-func TestMergeStores(t *testing.T) {
-	jobs, err := testSpec().Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	open := func(name string) *Store {
-		s, err := OpenStore(dir + "/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	put := func(s *Store, idxs ...int) {
-		for _, i := range idxs {
-			if err := s.Put(Record{Key: jobs[i].Key(), Job: jobs[i]}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	dst := open("dst.jsonl")
-	put(dst, 0, 1)
-	dst.Close()
-	srcA := open("a.jsonl")
-	put(srcA, 1, 2, 3) // 1 overlaps dst
-	srcA.Close()
-	srcB := open("b.jsonl")
-	put(srcB, 3, 4) // 3 overlaps srcA
-	srcB.Close()
-
-	added, err := MergeStores(dir+"/dst.jsonl", dir+"/a.jsonl", dir+"/b.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added != 3 { // 2, 3, 4
-		t.Fatalf("merged %d records, want 3", added)
-	}
-	merged := open("dst.jsonl")
-	defer merged.Close()
-	if merged.Len() != 5 {
-		t.Fatalf("merged store holds %d keys, want 5", merged.Len())
-	}
-	for i := 0; i <= 4; i++ {
-		if _, ok := merged.Lookup(jobs[i].Key()); !ok {
-			t.Fatalf("job %d missing after merge", i)
-		}
-	}
-	// Dedup happened at merge time, not just reload time: one line per key.
-	raw, err := os.ReadFile(dir + "/dst.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(string(raw), "\n"); lines != 5 {
-		t.Fatalf("merged file has %d lines, want 5", lines)
-	}
-}
 
 // TestStoreSync pins the durability knobs: Sync succeeds on a live
 // store, SyncEvery survives a stretch of Puts, and records written
