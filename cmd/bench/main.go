@@ -120,12 +120,14 @@ func cases(quick bool) []benchCase {
 	genSizes := []int{16384, 65536}
 	genRefSizes := []int{16384} // the seed path at 65536 is prohibitively slow
 	loadSizes := []int{16384, 65536}
+	countSizes := []int{512, 4096}
 	if quick {
 		sizes = []int{512}
 		hiphase = []struct{ n, maxPhase int }{{512, 14}}
 		genSizes = []int{1024}
 		genRefSizes = []int{1024}
 		loadSizes = []int{1024}
+		countSizes = []int{512}
 	}
 
 	nets := map[int]*hgraph.Network{}
@@ -267,6 +269,22 @@ func cases(quick bool) []benchCase {
 				if _, err := store.Load(p); err != nil {
 					b.Fatal(err)
 				}
+			}
+		}})
+	}
+
+	// S = Σ_v deg_G(v), counted by the first Algorithm 2 run on each
+	// network: every cache miss pays it. A Network memoises its count, so
+	// each iteration counts on a fresh Network over one primed H.
+	for _, n := range countSizes {
+		n := n
+		prime(n)
+		cs = append(cs, benchCase{name: fmt.Sprintf("hgraph/count-s/n=%d", n), fn: func(b *testing.B) {
+			h := nets[n]
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				net := &hgraph.Network{Params: h.Params, H: h.H, K: h.K, IDs: h.IDs}
+				net.S()
 			}
 		}})
 	}

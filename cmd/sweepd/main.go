@@ -1,8 +1,9 @@
 // Command sweepd runs a scenario grid across machines: a coordinator
-// expands the grid once, partitions pending jobs into content-key-range
-// shards, and serves them over HTTP with lease-based assignment; worker
-// processes (the same binary with -worker) claim shards, run them
-// through the ordinary sweep scheduler, stream records back, and
+// expands the grid once, partitions pending jobs into shards that hold
+// whole topologies, and serves them over HTTP with lease-based
+// assignment; worker processes (the same binary with -worker) claim
+// shards, run them through the ordinary sweep scheduler with one
+// network cache for the worker's life, stream records back, and
 // heartbeat. A worker that dies mid-shard simply stops heartbeating —
 // its lease expires, the shard reassigns, and the replacement worker
 // recomputes only the jobs the dead worker never reported. Aggregates
@@ -65,7 +66,7 @@ func run() int {
 		// Coordinator mode: the service.
 		storePath  = flag.String("store", "", "merged JSONL result store (required; enables resume)")
 		journal    = flag.String("journal", "", "coordinator crash-recovery journal (default: <store>.journal; \"off\" disables epoch fencing)")
-		shards     = flag.Int("shards", 0, "content-key-range shard count (0 = default)")
+		shards     = flag.Int("shards", 0, "shard count; shards cut the pending jobs in (topology, job) content-key order, so each holds whole topologies (0 = default)")
 		lease      = flag.Duration("lease", 0, "lease TTL before a silent worker's shard reassigns (0 = default)")
 		stealAfter = flag.Duration("steal-after", 0, "how long a shard may stall before idle workers split it (0 = half the lease TTL)")
 		httpAddr   = flag.String("http", ":9900", "coordinator listen address")

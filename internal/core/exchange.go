@@ -172,6 +172,12 @@ func (w *World) exchangeAtVictim(v int, recs []exchRec, keys []int32) {
 // phantom check, the only one that needs v's channel set, runs last,
 // over every node the BFS reached, and only for a ball that passed the
 // others.
+//
+// The phantom check runs only if the BFS expanded an edge between two
+// claimers. Without one, every edge it crossed is an H edge: a
+// non-claimer's row is H's own, and a claimer's edge to a non-claimer
+// passed the endpoint check against that node's H row. A node reached
+// within k such edges lies in v's k-ball, so none can be a phantom.
 func (w *World) claimedBallConsistent(v int, claims []claim) bool {
 	n := w.N()
 	if len(w.exchSeen) != n {
@@ -202,7 +208,7 @@ func (w *World) claimedBallConsistent(v int, claims []claim) bool {
 	seen := w.exchSeen
 	seen[v] = ep
 	queue := append(w.exchQueue[:0], int32(v))
-	ok := true
+	ok, claimerEdge := true, false
 	// The queue holds one BFS layer after another; layerEnd marks where
 	// the layer at distance depth ends. Nodes at distance k are reached
 	// (and checked as endpoints) but not expanded.
@@ -231,10 +237,12 @@ bfs:
 			}
 			// Between two truthful reporters H's symmetry already
 			// confirms the edge; only a claimer's edges need asking.
-			if (xClaimed || w.exchClaimEpoch[y] == ep) && !slices.Contains(adjOf(y), x) {
+			yClaimed := w.exchClaimEpoch[y] == ep
+			if (xClaimed || yClaimed) && !slices.Contains(adjOf(y), x) {
 				ok = false // the endpoint denies the edge
 				break bfs
 			}
+			claimerEdge = claimerEdge || (xClaimed && yClaimed)
 			if seen[y] != ep {
 				seen[y] = ep
 				queue = append(queue, y)
@@ -242,8 +250,8 @@ bfs:
 		}
 	}
 	w.exchQueue = queue
-	if !ok {
-		return false
+	if !ok || !claimerEdge {
+		return ok
 	}
 	// v has a G-channel to every node of its k-ball in H, and to no other
 	// node: a reached node outside the ball is a phantom, claimed within

@@ -209,6 +209,186 @@ func TestExchangePhantomCrashesUnderConsistentRewiring(t *testing.T) {
 	}
 }
 
+// funcLiar lies through a function of (Byzantine node, victim), so a
+// test can recompute every claim a victim heard.
+type funcLiar struct {
+	HonestAdversary
+	lie func(b, v int) []int32
+}
+
+func (f *funcLiar) ClaimHNeighbors(w *World, b, v int) []int32 { return f.lie(b, v) }
+
+// fullBallCheck is the crash rule without the skip: v's BFS over the
+// claimed topology to radius k with the degree, range and endpoint
+// checks, then the phantom check over every node it reached. It also
+// says whether the phantom check decided and whether the BFS crossed an
+// edge between two claimers.
+func fullBallCheck(h *graph.Graph, k, d, v int, claims map[int32][]int32) (ok, byPhantom, claimerEdge bool) {
+	adjOf := func(x int32) []int32 {
+		if c, lied := claims[x]; lied {
+			return c
+		}
+		return h.Neighbors(int(x))
+	}
+	n := h.N()
+	dist := map[int32]int{int32(v): 0}
+	queue := []int32{int32(v)}
+	for head := 0; head < len(queue); head++ {
+		x := queue[head]
+		if dist[x] >= k {
+			continue
+		}
+		adj := adjOf(x)
+		if len(adj) != d {
+			return false, false, claimerEdge
+		}
+		_, xClaimed := claims[x]
+		for _, y := range adj {
+			if y < 0 || int(y) >= n {
+				return false, false, claimerEdge
+			}
+			_, yClaimed := claims[y]
+			if (xClaimed || yClaimed) && !slices.Contains(adjOf(y), x) {
+				return false, false, claimerEdge
+			}
+			claimerEdge = claimerEdge || (xClaimed && yClaimed)
+			if _, seen := dist[y]; !seen {
+				dist[y] = dist[x] + 1
+				queue = append(queue, y)
+			}
+		}
+	}
+	ball := graph.NewBFS(h).RunWithin(v, int32(k))
+	for _, y := range queue {
+		if ball[y] == graph.Unreached {
+			return false, true, claimerEdge
+		}
+	}
+	return true, false, claimerEdge
+}
+
+// TestExchangeClaimerEdgeSkipMatchesFullCheck: the exchange skips the
+// phantom check for a victim whose claimed BFS crossed no edge between
+// two claimers. On random networks whose Byzantine nodes tell random
+// victims consistent rewirings of their shared edges, reordered rows
+// and phantom entries, every honest node crashes exactly when the full
+// check rejects what it heard. The lies reach all three outcomes the
+// skip separates: rejected by the phantom check after a claimer edge,
+// accepted after one, and accepted with the phantom check skipped.
+func TestExchangeClaimerEdgeSkipMatchesFullCheck(t *testing.T) {
+	var phantom, acceptedEdge, skipped int
+	for seed := uint64(1); seed <= 12; seed++ {
+		n := 128 << (seed % 3)
+		net, err := hgraph.New(hgraph.Params{N: n, D: 8, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, k, d := net.H, net.K, net.Params.D
+		src := rng.New(seed)
+		byz := hgraph.PlaceByzantine(n, n/8, src)
+		var byzIdx []int
+		for b, isByz := range byz {
+			if isByz {
+				byzIdx = append(byzIdx, b)
+			}
+		}
+
+		// Each Byzantine node tells one lie: its part of a rewiring of
+		// two Byzantine–Byzantine edges a–b, c–e into a–c, b–e, its row
+		// reversed, or one entry swapped for a random node.
+		lies := map[int][]int32{}
+		rewire := func(x, from, to int) {
+			row := slices.Clone(h.Neighbors(x))
+			row[slices.Index(row, int32(from))] = int32(to)
+			lies[x] = row
+		}
+		for _, a := range byzIdx {
+			if lies[a] != nil {
+				continue
+			}
+			for _, b := range byzIdx {
+				if b == a || lies[b] != nil || !h.HasEdge(a, b) {
+					continue
+				}
+				for _, c := range byzIdx[src.Intn(len(byzIdx)):] {
+					e := int(h.Neighbors(c)[src.Intn(d)])
+					if c == a || c == b || e == a || e == b || e == c || !byz[e] ||
+						lies[c] != nil || lies[e] != nil || h.HasEdge(a, c) || h.HasEdge(b, e) {
+						continue
+					}
+					rewire(a, b, c)
+					rewire(b, a, e)
+					rewire(c, e, a)
+					rewire(e, c, b)
+					break
+				}
+				break
+			}
+		}
+		for _, b := range byzIdx {
+			if lies[b] != nil {
+				continue
+			}
+			row := slices.Clone(h.Neighbors(b))
+			if src.Intn(2) == 0 {
+				slices.Reverse(row)
+			} else {
+				row[src.Intn(d)] = int32(src.Intn(n))
+			}
+			lies[b] = row
+		}
+		// A Byzantine node lies to about three victims in four.
+		lie := func(b, v int) []int32 {
+			if rng.Split(seed, uint64(b*n+v)).Intn(4) == 0 {
+				return nil
+			}
+			return lies[b]
+		}
+
+		cfg := Config{Algorithm: AlgorithmByzantine, Seed: seed}.withDefaults(n)
+		adv := &funcLiar{lie: lie}
+		w := newWorld(net, byz, adv, cfg)
+		adv.Init(w)
+		w.runExchange()
+		for v := 0; v < n; v++ {
+			if byz[v] {
+				continue
+			}
+			claims := map[int32][]int32{}
+			for _, x := range h.Ball(v, k) {
+				if byz[x] {
+					if c := lie(int(x), v); c != nil {
+						claims[x] = c
+					}
+				}
+			}
+			ok, byPhantom, claimerEdge := true, false, false
+			if len(claims) > 0 {
+				ok, byPhantom, claimerEdge = fullBallCheck(h, k, d, v, claims)
+			}
+			if w.crashed[v] == ok {
+				t.Fatalf("seed %d: victim %d crashed=%v, full check accepts=%v (claims from %d nodes, claimer edge %v)",
+					seed, v, w.crashed[v], ok, len(claims), claimerEdge)
+			}
+			switch {
+			case byPhantom:
+				phantom++
+			case ok && claimerEdge:
+				acceptedEdge++
+			case ok && len(claims) > 0:
+				skipped++
+			}
+		}
+		w.Close()
+	}
+	t.Logf("phantom rejections %d, accepted after a claimer edge %d, phantom check skipped %d",
+		phantom, acceptedEdge, skipped)
+	if phantom == 0 || acceptedEdge == 0 || skipped == 0 {
+		t.Fatalf("lies reached phantom %d, accepted-with-edge %d, skipped %d: every outcome needs a case",
+			phantom, acceptedEdge, skipped)
+	}
+}
+
 // Malformed claims: an ID past the last node, a negative ID, and a
 // duplicate entry. The claimed-topology BFS indexes arrays by node ID, so
 // the out-of-range IDs must crash the victim before they index anything,

@@ -102,12 +102,14 @@ func sweepOrphanTemps(dir string) {
 // Dir returns the store's versioned blob directory.
 func (s *NetStore) Dir() string { return s.dir }
 
-// Key returns the content address of p: hex SHA-256 over the canonical
-// parameters and the generator's output version, so K=0 and the explicit
-// default K share one blob, and a bumped hgraph.GenVersion (an
-// intentional generator-output change) orphans every old blob instead of
-// serving a topology the current generator would no longer produce.
-func (s *NetStore) Key(p hgraph.Params) string {
+// NetKey returns the content address of the topology p generates: hex
+// SHA-256 over the canonical parameters and the generator's output
+// version, so K=0 and the explicit default K share one blob, and a
+// bumped hgraph.GenVersion (an intentional generator-output change)
+// orphans every old blob instead of serving a topology the current
+// generator would no longer produce. The store names its blobs by it,
+// and sweep.PartitionByKey groups a shard's jobs by it.
+func NetKey(p hgraph.Params) string {
 	p = p.Canonical()
 	sum := sha256.Sum256([]byte(fmt.Sprintf("hgraph gen%d n=%d d=%d k=%d seed=%d",
 		hgraph.GenVersion, p.N, p.D, p.K, p.Seed)))
@@ -116,7 +118,7 @@ func (s *NetStore) Key(p hgraph.Params) string {
 
 // Path returns the blob path for p.
 func (s *NetStore) Path(p hgraph.Params) string {
-	return filepath.Join(s.dir, s.Key(p)+".net")
+	return filepath.Join(s.dir, NetKey(p)+".net")
 }
 
 // Has reports whether a blob for p exists (without validating it).

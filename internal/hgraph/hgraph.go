@@ -94,29 +94,42 @@ func (net *Network) S() int {
 // that reached x, so no search clears what the previous one marked. A
 // search stops once a level adds no node, which bounds any k by n − 1
 // levels, as BuildGWith's cap does.
+//
+// The inner loop has no data-dependent branch: it writes every
+// neighbour y into the queue slot past the end and stamps it, and the
+// end advances by one only if y's stamp was stale, so a node already
+// reached is overwritten by the next write. The flag compiles to a
+// conditional set (SETNE on amd64), so whether a neighbour is fresh,
+// which no predictor can guess, costs no branch miss. The slot past the
+// end exists even when all n nodes are queued because the queue holds
+// n + 1.
 func countS(h *graph.Graph, k int) int {
 	n := h.N()
 	off, adj := h.CSR()
 	stamp := make([]int32, n)
-	queue := make([]int32, 0, n)
+	queue := make([]int32, n+1)
 	s := 0
 	for v := 0; v < n; v++ {
 		ep := int32(v + 1)
 		stamp[v] = ep
-		queue = append(queue[:0], int32(v))
-		for depth, lo := 0, 0; depth < k && lo < len(queue); depth++ {
-			hi := len(queue)
+		queue[0] = int32(v)
+		end := 1
+		for depth, lo := 0, 0; depth < k && lo < end; depth++ {
+			hi := end
 			for _, x := range queue[lo:hi] {
 				for _, y := range adj[off[x]:off[x+1]] {
+					fresh := 0
 					if stamp[y] != ep {
-						stamp[y] = ep
-						queue = append(queue, y)
+						fresh = 1
 					}
+					queue[end] = y
+					stamp[y] = ep
+					end += fresh
 				}
 			}
 			lo = hi
 		}
-		s += len(queue) - 1
+		s += end - 1
 	}
 	return s
 }

@@ -67,6 +67,69 @@ func TestBuildGMatchesBalls(t *testing.T) {
 	}
 }
 
+// countSBFS is the branching BFS countS replaced: it appends a
+// neighbour only when its stamp is stale. It is the oracle for countS.
+func countSBFS(h *graph.Graph, k int) int {
+	n := h.N()
+	off, adj := h.CSR()
+	stamp := make([]int32, n)
+	queue := make([]int32, 0, n)
+	s := 0
+	for v := 0; v < n; v++ {
+		ep := int32(v + 1)
+		stamp[v] = ep
+		queue = append(queue[:0], int32(v))
+		for depth, lo := 0, 0; depth < k && lo < len(queue); depth++ {
+			hi := len(queue)
+			for _, x := range queue[lo:hi] {
+				for _, y := range adj[off[x]:off[x+1]] {
+					if stamp[y] != ep {
+						stamp[y] = ep
+						queue = append(queue, y)
+					}
+				}
+			}
+			lo = hi
+		}
+		s += len(queue) - 1
+	}
+	return s
+}
+
+// TestCountSMatchesBFS checks the branchless S count against the
+// branching BFS over multigraphs from 3 nodes (parallel edges, every
+// ball the whole graph) to 1000, and radii from 0 to past the diameter,
+// where the queue fills to n and the write past its end lands in the
+// spare slot.
+func TestCountSMatchesBFS(t *testing.T) {
+	cases := 0
+	for _, n := range []int{3, 5, 9, 64, 257, 1000} {
+		for _, d := range []int{4, 6, 8, 16} {
+			if n <= 3 && d > 4 {
+				continue
+			}
+			seeds := uint64(3)
+			if n >= 1000 {
+				seeds = 1 // keeps the race build's run short
+			}
+			for seed := uint64(1); seed <= seeds; seed++ {
+				h := GenerateH(n, d, rng.New(seed))
+				for _, k := range []int{0, 1, 2, 3, 5, 40} {
+					if got, want := countS(h, k), countSBFS(h, k); got != want {
+						t.Fatalf("n=%d d=%d k=%d seed=%d: S = %d, BFS counts %d", n, d, k, seed, got, want)
+					}
+					cases++
+				}
+			}
+		}
+	}
+	// Both Hamiltonian cycles on 3 nodes are the triangle.
+	if s := countS(GenerateH(3, 4, rng.New(1)), 1); s != 3*2 {
+		t.Fatalf("n=3: S = %d, want 6: every node sees the other two", s)
+	}
+	t.Logf("%d cases", cases)
+}
+
 func TestBuildGIsSimple(t *testing.T) {
 	h := GenerateH(60, 8, rng.New(4))
 	g := BuildG(h, 3)

@@ -13,7 +13,10 @@
 // BigCrush, which is more than sufficient for protocol simulation.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic random stream. The zero value is not usable;
 // construct with New or Split.
@@ -145,23 +148,17 @@ func (src *Source) Bool() bool {
 // first head: a Geometric(1/2) variate with support {1, 2, 3, ...}.
 // This is the paper's "color" distribution (Algorithm 1, line 10).
 //
-// Implemented by counting leading zeros of a 64-bit word, refilling for the
-// (once in 2^64) event that the word is all tails.
+// Implemented by counting the trailing zeros of a 64-bit word — each
+// zero is a tail before the first head — refilling for the (once in
+// 2^64) event that the word is all tails.
 func (src *Source) Geometric() int {
 	flips := 1
-	for {
-		w := src.Uint64()
-		if w != 0 {
-			// Count trailing zero bits: each zero is a tail before the
-			// first head.
-			for w&1 == 0 {
-				flips++
-				w >>= 1
-			}
-			return flips
-		}
+	w := src.Uint64()
+	for w == 0 {
 		flips += 64
+		w = src.Uint64()
 	}
+	return flips + bits.TrailingZeros64(w)
 }
 
 // GeometricP returns a Geometric(p) variate with support {1, 2, ...}:

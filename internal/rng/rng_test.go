@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -80,6 +81,91 @@ func TestFloat64Range(t *testing.T) {
 		f := src.Float64()
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64 out of [0,1): %v", f)
+		}
+	}
+}
+
+// geometricLoop is the bit-by-bit Geometric that TrailingZeros64
+// replaced: the oracle for its values and its stream consumption.
+func geometricLoop(src *Source) int {
+	flips := 1
+	for {
+		w := src.Uint64()
+		if w != 0 {
+			for w&1 == 0 {
+				flips++
+				w >>= 1
+			}
+			return flips
+		}
+		flips += 64
+	}
+}
+
+// emitting returns a Source whose next two outputs are w1 and w2.
+// xoshiro256** outputs rotl(s[1]·5, 7)·9, which inverts because 5 and 9
+// are odd, and its update sets the next s[1] to s[0] ^ s[1] ^ s[2].
+func emitting(w1, w2 uint64) *Source {
+	inverse := func(a uint64) uint64 { // Newton's iteration mod 2^64
+		x := a
+		for i := 0; i < 5; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	pre := func(w uint64) uint64 { return bits.RotateLeft64(w*inverse(9), -7) * inverse(5) }
+	src := &Source{}
+	src.s[1] = pre(w1)
+	src.s[2] = pre(w2) ^ src.s[1]
+	src.s[3] = 1
+	return src
+}
+
+// TestGeometricMatchesBitLoop checks Geometric against the bit loop on
+// crafted words — a head first, a head last, the all-tails word that
+// forces a refill — and on random words and streams: equal values, and
+// equal generator state afterwards.
+func TestGeometricMatchesBitLoop(t *testing.T) {
+	type wordCase struct {
+		w1, w2 uint64
+		want   int // 0: random words, checked against the loop only
+	}
+	words := []wordCase{
+		{1, 0, 1},
+		{1 << 63, 0, 64},
+		{0, 1, 65},
+		{0, 1 << 63, 128},
+		{0, 0b1000, 68},
+	}
+	r := New(99)
+	for i := 0; i < 1000; i++ {
+		words = append(words, wordCase{r.Uint64(), r.Uint64(), 0})
+	}
+	for _, tc := range words {
+		src := emitting(tc.w1, tc.w2)
+		probe := src.Clone()
+		if a, b := probe.Uint64(), probe.Uint64(); a != tc.w1 || b != tc.w2 {
+			t.Fatalf("crafted source emits %#x, %#x, want %#x, %#x", a, b, tc.w1, tc.w2)
+		}
+		loop := src.Clone()
+		got, want := src.Geometric(), geometricLoop(loop)
+		if got != want || src.s != loop.s {
+			t.Fatalf("words %#x, %#x: Geometric = %d, bit loop = %d (state equal: %v)",
+				tc.w1, tc.w2, got, want, src.s == loop.s)
+		}
+		if tc.want != 0 && got != tc.want {
+			t.Fatalf("words %#x, %#x: Geometric = %d, want %d", tc.w1, tc.w2, got, tc.want)
+		}
+	}
+	for seed := uint64(0); seed < 8; seed++ {
+		a, b := New(seed), New(seed)
+		for i := 0; i < 10000; i++ {
+			if x, y := a.Geometric(), geometricLoop(b); x != y {
+				t.Fatalf("seed %d draw %d: Geometric = %d, bit loop = %d", seed, i, x, y)
+			}
+		}
+		if a.s != b.s {
+			t.Fatalf("seed %d: streams diverged", seed)
 		}
 	}
 }

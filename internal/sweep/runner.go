@@ -29,7 +29,9 @@ type Options struct {
 	// Band is the acceptance band for summaries (zero: metrics.DefaultBand).
 	Band metrics.Band
 	// Cache reuses generated networks across jobs (nil: a fresh cache of
-	// DefaultCacheCap networks).
+	// DefaultCacheCap networks for this run alone). A caller that runs
+	// several job lists, as a sweepd worker runs shards, passes one cache
+	// to all of them so a topology they share is built once.
 	Cache *NetCache
 	// Store, when non-nil, persists each completed job and — the resume
 	// path — skips any job whose content key the store already holds.

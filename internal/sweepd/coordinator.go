@@ -4,7 +4,8 @@ package sweepd
 // Coordinator owns the canonical job list and the one merged store:
 // store hits are resolved up front (exactly as sweep.Run does, with the
 // same run-log discipline — sweep_start first, then the buffered
-// skips), the remainder is partitioned by content-key range
+// skips), the remainder is partitioned into contiguous ranges of the
+// (topology key, job key) order, so each shard holds whole topologies
 // (sweep.PartitionByKey), and shards are served over HTTP under leases.
 // Every record a worker streams back is integrity-checked
 // (Key == Job.Key()), deduplicated against the store, appended, and
@@ -27,8 +28,8 @@ import (
 )
 
 // DefaultShards is the shard count when Config leaves it zero: enough
-// ranges that a handful of workers stay busy and a death forfeits at
-// most one range's progress-in-flight, few enough that claim traffic is
+// shards that a handful of workers stay busy and a death forfeits at
+// most one shard's progress-in-flight, few enough that claim traffic is
 // noise.
 const DefaultShards = 8
 
@@ -51,7 +52,8 @@ type Config struct {
 	// Store is the merged result store (required). The coordinator is
 	// its only writer; workers never see it.
 	Store *sweep.Store
-	// Shards is the number of content-key ranges (0: DefaultShards).
+	// Shards is the number of shards the pending jobs are cut into
+	// (0: DefaultShards).
 	Shards int
 	// LeaseTTL is how long a silent worker keeps a shard before it is
 	// reassigned (0: DefaultLeaseTTL).
@@ -105,6 +107,7 @@ type shardMeta struct {
 type Coordinator struct {
 	cfg    Config
 	jobs   []sweep.Job
+	keys   []string         // job index -> content key (Job.Key, hashed once)
 	keyIdx map[string][]int // content key -> job indices (dup keys: all)
 	leases *leaseTable
 	mon    *sweep.Monitor
@@ -178,6 +181,7 @@ func NewCoordinator(jobs []sweep.Job, cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:       cfg,
 		jobs:      jobs,
+		keys:      make([]string, len(jobs)),
 		keyIdx:    make(map[string][]int, len(jobs)),
 		mon:       cfg.Monitor,
 		start:     time.Now(),
@@ -204,6 +208,7 @@ func NewCoordinator(jobs []sweep.Job, cfg Config) (*Coordinator, error) {
 	var pending, skipped []int
 	for i, j := range jobs {
 		key := j.Key()
+		c.keys[i] = key
 		c.keyIdx[key] = append(c.keyIdx[key], i)
 		if rec, ok := cfg.Store.Lookup(key); ok {
 			c.outs[i] = sweep.Outcome{Job: j, Summary: rec.Summary, FromStore: true, Worker: -1}
@@ -215,7 +220,7 @@ func NewCoordinator(jobs []sweep.Job, cfg Config) (*Coordinator, error) {
 		}
 		pending = append(pending, i)
 	}
-	c.shards = sweep.PartitionByKey(jobs, pending, cfg.Shards)
+	c.shards = sweep.PartitionByKey(jobs, c.keys, pending, cfg.Shards)
 	// Replay journaled steal cuts on top of the base partition: a
 	// coordinator that crashed mid-split comes back with the post-split
 	// geometry, under the bumped epoch. Cuts whose key is no longer
@@ -260,7 +265,7 @@ func NewCoordinator(jobs []sweep.Job, cfg Config) (*Coordinator, error) {
 	})
 	for pos, i := range skipped {
 		_ = cfg.RunLog.Event("job_skip", map[string]any{
-			"key": jobs[i].Key(), "label": jobs[i].Label(),
+			"key": c.keys[i], "label": jobs[i].Label(),
 		})
 		c.mon.Observe(pos+1, len(jobs), c.outs[i])
 	}
@@ -357,7 +362,7 @@ func (c *Coordinator) pendingJobs(shard int) []sweep.Job {
 func (c *Coordinator) replayCut(key string) {
 	for s := range c.shards {
 		for p, i := range c.shards[s] {
-			if c.jobs[i].Key() != key {
+			if c.keys[i] != key {
 				continue
 			}
 			if p == 0 {
@@ -484,7 +489,7 @@ func (c *Coordinator) trySteal(thief string) bool {
 	if p <= 0 {
 		return false
 	}
-	cutKey := c.jobs[list[p]].Key()
+	cutKey := c.keys[list[p]]
 	if c.cfg.Journal != nil {
 		if err := c.cfg.Journal.AppendCut(cutKey); err != nil {
 			// The cut isn't durable; applying it anyway would let a
@@ -503,7 +508,7 @@ func (c *Coordinator) trySteal(thief string) bool {
 		c.jobShard[i] = newShard
 		if !c.accounted[i] {
 			c.stolen[i] = true
-			c.meta[victim].stolenKeys = append(c.meta[victim].stolenKeys, c.jobs[i].Key())
+			c.meta[victim].stolenKeys = append(c.meta[victim].stolenKeys, c.keys[i])
 			stolenJobs++
 		}
 	}

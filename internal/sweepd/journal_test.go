@@ -215,11 +215,11 @@ func TestCoordinatorRestartRecoversJournaledSplit(t *testing.T) {
 
 	// Coordinator #1: three shards of 16 jobs → 5/5/6. The fast worker
 	// holds and clears shards 0 and 1 while the slow one sits on the
-	// 6-job shard 2; fast's next idle claim steals half of its
-	// remainder. (The victim must be the 6-job shard: a 5-job victim's
-	// cut position happens to coincide with a partition boundary of the
-	// successor's re-derived geometry, which would make the replay
-	// vacuously succeed without exercising the split.)
+	// 6-job shard 2 after reporting its first job; fast's next idle
+	// claim steals half of its 5-job remainder. (The geometry is chosen
+	// so the cut falls inside a shard of the successor's re-derived
+	// partition: a cut that begins one of its shards replays vacuously
+	// without exercising the split.)
 	store1, err := sweep.OpenStore(filepath.Join(dir, "results.jsonl"))
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +244,12 @@ func TestCoordinatorRestartRecoversJournaledSplit(t *testing.T) {
 	if slow.Shard == nil || len(slow.Shard.Jobs) != 6 {
 		t.Fatalf("slow claim = %+v, want the 6-job shard", slow)
 	}
+	if _, err := c1.report(ReportRequest{
+		Worker: "slow", Shard: slow.Shard.ID, Lease: slow.Shard.Lease,
+		Records: []sweep.Record{recs[slow.Shard.Jobs[0].Key()]},
+	}); err != nil {
+		t.Fatal(err)
+	}
 	clk.Advance(11 * time.Second)
 	for i, fast := range fastShards {
 		if fast.Shard == nil || len(fast.Shard.Jobs) != 5 {
@@ -261,10 +267,10 @@ func TestCoordinatorRestartRecoversJournaledSplit(t *testing.T) {
 		}
 	}
 	thief := c1.claim("fast")
-	if thief.Shard == nil || thief.Shard.ID != 3 || len(thief.Shard.Jobs) != 3 {
-		t.Fatalf("thief claim = %+v, want stolen shard 3 with 3 jobs", thief)
+	if thief.Shard == nil || thief.Shard.ID != 3 || len(thief.Shard.Jobs) != 2 {
+		t.Fatalf("thief claim = %+v, want stolen shard 3 with 2 jobs", thief)
 	}
-	cutKey := slow.Shard.Jobs[3].Key()
+	cutKey := slow.Shard.Jobs[4].Key()
 	if len(j1.Cuts) != 1 || j1.Cuts[0] != cutKey {
 		t.Fatalf("journal cuts = %v, want exactly [%s]", j1.Cuts, cutKey)
 	}
@@ -272,7 +278,7 @@ func TestCoordinatorRestartRecoversJournaledSplit(t *testing.T) {
 
 	// Successor: a default config asking for a different shard count.
 	// The journal's recorded base geometry (3) overrides the changed
-	// request, and the replayed cut makes it 4 shards over the 6
+	// request, and the replayed cut makes it 4 shards over the 5
 	// remaining jobs.
 	store2, err := sweep.OpenStore(filepath.Join(dir, "results.jsonl"))
 	if err != nil {
@@ -303,7 +309,7 @@ func TestCoordinatorRestartRecoversJournaledSplit(t *testing.T) {
 	// Both pre-crash tokens are fenced by the successor's epoch.
 	if _, err := c2.report(ReportRequest{
 		Worker: "slow", Shard: slow.Shard.ID, Lease: slow.Shard.Lease,
-		Records: []sweep.Record{recs[slow.Shard.Jobs[0].Key()]},
+		Records: []sweep.Record{recs[slow.Shard.Jobs[1].Key()]},
 	}); !errors.Is(err, ErrLeaseLost) {
 		t.Fatalf("victim's stale report = %v, want ErrLeaseLost", err)
 	}

@@ -1,8 +1,9 @@
 // Package sweepd is the distributed sweep sharding service (DESIGN §5,
 // ROADMAP item 1): a coordinator expands a Spec once, resolves store
 // hits up front exactly as sweep.Run does, partitions the pending jobs
-// into contiguous Job.Key() ranges, and serves those shards over HTTP
-// with lease-based assignment. Worker processes (the same binary in
+// into contiguous ranges of the (topology key, Job.Key()) order, so a
+// shard holds whole topologies, and serves those shards over HTTP with
+// lease-based assignment. Worker processes (the same binary in
 // -worker mode) claim a shard, run it through the existing scheduler —
 // per-worker arenas and netstore disk tier unchanged — stream Records
 // back, and heartbeat; a lease that expires is reassigned to the next

@@ -17,6 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/graphio"
+	"repro/internal/hgraph"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
@@ -268,43 +270,184 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 }
 
-// TestPartitionByKey pins the sharding function: every pending index
-// appears in exactly one shard, shards are internally in expansion
-// order, no shard is empty, and the split is stable across calls.
-func TestPartitionByKey(t *testing.T) {
+// TestWorkerKeepsOneCache: a worker built with a nil Opts.Cache keeps
+// one network cache across every shard it runs, bound to its telemetry
+// registry, so it generates each topology once however the shards cut
+// the topologies' jobs.
+func TestWorkerKeepsOneCache(t *testing.T) {
+	t.Setenv("REPRO_NETSTORE", "") // memory tier only: every miss generates
 	jobs := testJobs(t)
-	pending := make([]int, len(jobs))
-	for i := range pending {
-		pending[i] = i
+	store, err := sweep.OpenStore(t.TempDir() + "/results.jsonl")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 3, 4, 100} {
-		parts := sweep.PartitionByKey(jobs, pending, shards)
-		if len(parts) > shards {
-			t.Fatalf("shards=%d: got %d parts", shards, len(parts))
+	defer store.Close()
+	coord, err := NewCoordinator(jobs, Config{
+		Name: "dist", Store: store, Shards: 8, LeaseTTL: time.Minute,
+		Telemetry: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	reg := obs.NewRegistry()
+	w := NewWorker(WorkerOptions{
+		Coordinator: srv.URL,
+		Name:        "solo",
+		Opts:        sweep.Options{Workers: 2, Telemetry: reg},
+		Poll:        20 * time.Millisecond,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.ShardsCompleted(); n < 2 {
+		t.Fatalf("worker completed %d shards, want at least 2", n)
+	}
+	topos := map[hgraph.Params]bool{}
+	for _, j := range jobs {
+		topos[j.Net.Canonical()] = true
+	}
+	if got := reg.Timer("hgraph.gen").Count(); got != int64(len(topos)) {
+		t.Fatalf("worker generated %d topologies for %d distinct ones", got, len(topos))
+	}
+}
+
+// TestPartitionByKey pins the shard geometry the coordinator serves:
+// deterministic, covering every pending job once in shards whose sizes
+// differ by at most one,
+// expansion order inside a shard, and each topology inside one shard
+// unless a cut falls in its jobs — at most shards−1 of them straddle,
+// each over consecutive shards, and shard boundaries follow the
+// topology content-key order.
+func TestPartitionByKey(t *testing.T) {
+	grid := func(trials int, advs ...string) []sweep.Job {
+		t.Helper()
+		jobs, err := sweep.Spec{
+			Name: "part", Sizes: []int{64, 128}, Deltas: []float64{0.75},
+			Adversaries: advs, Trials: trials, Seed: 3,
+		}.Jobs()
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen := map[int]bool{}
-		for _, part := range parts {
-			if len(part) == 0 {
-				t.Fatalf("shards=%d: empty shard", shards)
+		return jobs
+	}
+	small := testJobs(t)
+	wide := grid(9, "none", "inflate", "suppress", "oracle", "topology-liar")
+	// A duplicated cell: two jobs with one content key, as a grid that
+	// lists a value twice expands.
+	dup := append(grid(3, "none", "inflate"), grid(1, "none")...)
+	all := func(jobs []sweep.Job) []int {
+		idx := make([]int, len(jobs))
+		for i := range idx {
+			idx[i] = i
+		}
+		return idx
+	}
+	keysOf := func(jobs []sweep.Job) []string {
+		keys := make([]string, len(jobs))
+		for i, j := range jobs {
+			keys[i] = j.Key()
+		}
+		return keys
+	}
+	// A resumed coordinator partitions only what its store lacks.
+	var resumed []int
+	for i := range wide {
+		if i%3 != 1 {
+			resumed = append(resumed, i)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		jobs    []sweep.Job
+		pending []int
+		shards  []int
+	}{
+		{"small", small, all(small), []int{1, 3, 4, 100}},
+		{"wide", wide, all(wide), []int{1, 2, 7, 8, 13}},
+		{"resumed", wide, resumed, []int{3, 8}},
+		{"duplicate-keys", dup, all(dup), []int{2, 5}},
+	} {
+		keys := keysOf(tc.jobs)
+		for _, shards := range tc.shards {
+			parts := sweep.PartitionByKey(tc.jobs, keys, tc.pending, shards)
+			if again := sweep.PartitionByKey(tc.jobs, keys, tc.pending, shards); !reflect.DeepEqual(parts, again) {
+				t.Fatalf("%s/%d: partition not deterministic", tc.name, shards)
 			}
-			for k := 1; k < len(part); k++ {
-				if part[k-1] >= part[k] {
-					t.Fatalf("shards=%d: shard not in expansion order: %v", shards, part)
+			want := min(shards, len(tc.pending))
+			if len(parts) != want {
+				t.Fatalf("%s/%d: %d shards, want %d", tc.name, shards, len(parts), want)
+			}
+			seen := map[int]bool{}
+			spans := map[hgraph.Params][]int{} // topology -> shards holding it
+			minSize, maxSize := len(tc.pending), 0
+			for s, part := range parts {
+				minSize, maxSize = min(minSize, len(part)), max(maxSize, len(part))
+				for p, i := range part {
+					if p > 0 && part[p-1] >= i {
+						t.Fatalf("%s/%d: shard %d not in expansion order: %v", tc.name, shards, s, part)
+					}
+					if seen[i] {
+						t.Fatalf("%s/%d: job %d in two shards", tc.name, shards, i)
+					}
+					seen[i] = true
+					net := tc.jobs[i].Net.Canonical()
+					if sp := spans[net]; len(sp) == 0 || sp[len(sp)-1] != s {
+						spans[net] = append(sp, s)
+					}
 				}
 			}
-			for _, i := range part {
-				if seen[i] {
-					t.Fatalf("shards=%d: index %d in two shards", shards, i)
+			if len(seen) != len(tc.pending) {
+				t.Fatalf("%s/%d: %d of %d pending jobs covered", tc.name, shards, len(seen), len(tc.pending))
+			}
+			if maxSize-minSize > 1 {
+				t.Fatalf("%s/%d: shard sizes %d..%d differ by more than one", tc.name, shards, minSize, maxSize)
+			}
+			straddles := 0
+			for net, sp := range spans {
+				if sp[len(sp)-1]-sp[0] != len(sp)-1 {
+					t.Fatalf("%s/%d: topology %+v in non-adjacent shards %v", tc.name, shards, net, sp)
 				}
-				seen[i] = true
+				straddles += len(sp) - 1
+			}
+			if straddles > len(parts)-1 {
+				t.Fatalf("%s/%d: %d topology straddles over %d cuts", tc.name, shards, straddles, len(parts)-1)
+			}
+			// Boundaries follow the topology key order: no shard holds a
+			// topology that sorts before one in an earlier shard.
+			last := ""
+			for s, part := range parts {
+				lo, hi := "", ""
+				for _, i := range part {
+					k := graphio.NetKey(tc.jobs[i].Net)
+					if lo == "" || k < lo {
+						lo = k
+					}
+					hi = max(hi, k)
+				}
+				if lo < last {
+					t.Fatalf("%s/%d: shard %d starts at topology %s, before shard %d's last %s", tc.name, shards, s, lo, s-1, last)
+				}
+				last = hi
 			}
 		}
-		if len(seen) != len(pending) {
-			t.Fatalf("shards=%d: %d of %d indices covered", shards, len(seen), len(pending))
+	}
+	// A shard count that divides the topologies evenly puts every
+	// topology in one shard: 2 sizes × 9 trials = 18 topologies of 5
+	// jobs each, 6 shards of 15 jobs.
+	parts := sweep.PartitionByKey(wide, keysOf(wide), all(wide), 6)
+	for s, part := range parts {
+		topos := map[hgraph.Params]int{}
+		for _, i := range part {
+			topos[wide[i].Net.Canonical()]++
 		}
-		again := sweep.PartitionByKey(jobs, pending, shards)
-		if !reflect.DeepEqual(parts, again) {
-			t.Fatalf("shards=%d: partition not deterministic", shards)
+		for net, c := range topos {
+			if c != 5 {
+				t.Fatalf("shard %d holds %d of topology %+v's 5 jobs", s, c, net)
+			}
 		}
 	}
 }

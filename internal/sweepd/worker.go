@@ -32,9 +32,12 @@ type WorkerOptions struct {
 	// ("" derives host.pid).
 	Name string
 	// Opts is the local execution configuration — Workers, RunWorkers,
-	// Cache, Telemetry, RunLog all apply per shard. Store and
-	// Progress are owned by the worker loop (results belong to the
-	// coordinator's store).
+	// Telemetry, RunLog all apply per shard. Cache serves every shard
+	// the worker runs (nil: NewWorker builds one NetCache for the
+	// worker's life, bound to Telemetry), so a topology that later
+	// shards or stolen suffixes share is built once. Store and Progress
+	// are owned by the worker loop (results belong to the coordinator's
+	// store).
 	Opts sweep.Options
 	// Client is the HTTP client (nil: a default client with no blanket
 	// Timeout — deadlines are per request, per endpoint; see
@@ -82,6 +85,10 @@ func NewWorker(o WorkerOptions) *Worker {
 	}
 	if o.MaxOffline == 0 {
 		o.MaxOffline = 90 * time.Second
+	}
+	if o.Opts.Cache == nil {
+		o.Opts.Cache = sweep.NewNetCache(0)
+		o.Opts.Cache.SetTelemetry(o.Opts.Telemetry)
 	}
 	return &Worker{o: o, c: newClient(o.Coordinator, o.Client,
 		o.Retries, o.Backoff, o.Opts.Telemetry)}
