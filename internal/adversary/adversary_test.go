@@ -272,6 +272,47 @@ func TestAllListsEveryStrategy(t *testing.T) {
 	}
 }
 
+// TestLemma15CrashesWithinByzantineBalls asserts Lemma 15 in E7's
+// setting (d = 8, δ = 0.75, n = 256 and 512): a lie in the topology
+// exchange can crash only its audience, so every crashed honest node lies
+// in the union of the Byzantine nodes' H k-balls. The five strategies
+// that report their adjacency truthfully crash nobody, and the two that
+// lie must crash someone, or the containment check would be vacuous.
+func TestLemma15CrashesWithinByzantineBalls(t *testing.T) {
+	liars := map[string]bool{"topology-liar": true, "combo": true}
+	for _, n := range []int{256, 512} {
+		seed := uint64(n) + 151
+		net := testNet(t, n, seed)
+		byz := placeByz(n, hgraph.ByzantineBudget(n, 0.75), seed+1)
+		audience := make([]bool, n)
+		for b, isByz := range byz {
+			if isByz {
+				for _, x := range net.H.Ball(b, net.K) {
+					audience[x] = true
+				}
+			}
+		}
+		for _, name := range Names() {
+			adv, _ := ByName(name)
+			res, err := core.Run(net, byz, adv, core.Config{Algorithm: core.AlgorithmByzantine, Seed: seed + 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, crashed := range res.Crashed {
+				if crashed && !audience[v] {
+					t.Errorf("n=%d %s: node %d crashed outside every Byzantine k-ball", n, name, v)
+				}
+			}
+			switch {
+			case liars[name] && res.CrashedCount == 0:
+				t.Errorf("n=%d %s: no crash, the containment check is vacuous", n, name)
+			case !liars[name] && res.CrashedCount != 0:
+				t.Errorf("n=%d %s: %d nodes crashed without a lie", n, name, res.CrashedCount)
+			}
+		}
+	}
+}
+
 // TestLemma16EntryWindow is the sharp version of Lemma 16: with the
 // first-entry instrumentation, every subphase in which an injected color
 // entered the honest population must have its entry in rounds 1..k−1.

@@ -163,55 +163,90 @@ func (w *World) exchangeAtVictim(v int, recs []exchRec, keys []int32) {
 	w.views[v] = view
 }
 
-// claimedBallConsistent runs v's BFS over the claimed topology to radius
-// k and reports whether every adjacency list it expands passes the crash
-// rule. Claimers are stamped in exchClaimEpoch (their claim index in
-// exchClaimIdx) and reached nodes in exchSeen, all with the current
-// exchEpoch, so no per-victim state needs clearing. The rule is a
-// conjunction, so the order of its checks changes no outcome: the
-// phantom check, the only one that needs v's channel set, runs last,
-// over every node the BFS reached, and only for a ball that passed the
-// others.
+// claimedBallConsistent applies the crash rule to the claims v heard: in
+// v's BFS over the claimed topology to radius k, every adjacency list it
+// expands must pass the degree, range and endpoint checks, and every
+// node it reaches must lie in v's channel set. The rule is a
+// conjunction, so the order of its checks changes no outcome.
 //
-// The phantom check runs only if the BFS expanded an edge between two
-// claimers. Without one, every edge it crossed is an H edge: a
-// non-claimer's row is H's own, and a claimer's edge to a non-claimer
-// passed the endpoint check against that node's H row. A node reached
-// within k such edges lies in v's k-ball, so none can be a phantom.
+// A non-claimer's row is H's own, so it can fail only on an edge to a
+// claimer, whose end may deny it. The first pass therefore reads a
+// depth-(k−1) row only for a claimer or a claimer's H-neighbour, and
+// does not enqueue depth k, which only the phantom check reads. That
+// check matters only if the BFS crossed an edge between two claimers.
+// Without one, every edge it crossed is an H edge (a claimer's edge to
+// a non-claimer passed the endpoint check against that node's H row),
+// so every node it reached lies in v's k-ball and none can be a
+// phantom. With one, a second pass reaches the whole claimed ball for
+// the check.
 func (w *World) claimedBallConsistent(v int, claims []claim) bool {
+	ok, claimerEdge := w.claimedBFS(v, claims, false)
+	if !ok || !claimerEdge {
+		return ok
+	}
+	w.claimedBFS(v, claims, true)
+	// v has a G-channel to every node of its k-ball in H, and to no other
+	// node: a reached node outside the ball is a phantom, claimed within
+	// distance k with no channel to confirm it.
+	_, dist := graph.BallWith(w.exchBFS, v, w.Net.K)
+	for _, y := range w.exchQueue {
+		if dist[y] == graph.Unreached {
+			return false
+		}
+	}
+	return true
+}
+
+// claimedBFS runs v's BFS over the claimed topology with the degree,
+// range and endpoint checks, and reports whether they all passed and
+// whether it crossed an edge between two claimers. With wholeBall unset
+// it skips the depth-(k−1) rows of nodes with no claimer in or beside
+// them and does not enqueue depth k; set, it leaves every reached node,
+// to depth k, in exchQueue. Claimers are stamped in exchClaimEpoch
+// (their claim index in exchClaimIdx), their H-neighbours in exchNear
+// and reached nodes in exchSeen, all with a fresh exchEpoch, so no
+// per-victim state needs clearing.
+func (w *World) claimedBFS(v int, claims []claim, wholeBall bool) (ok, claimerEdge bool) {
 	n := w.N()
 	if len(w.exchSeen) != n {
 		w.exchSeen = make([]int32, n)
+		w.exchNear = make([]int32, n)
 		w.exchClaimEpoch = make([]int32, n)
 		w.exchClaimIdx = make([]int32, n)
 		w.exchEpoch = 0
 	}
 	if w.exchEpoch == math.MaxInt32 {
 		clear(w.exchSeen)
+		clear(w.exchNear)
 		clear(w.exchClaimEpoch)
 		w.exchEpoch = 0
 	}
 	w.exchEpoch++
 	ep := w.exchEpoch
+	hOff, hAdj := w.hOff, w.hAdj
+	claimed, near := w.exchClaimEpoch, w.exchNear
 	for i, c := range claims {
-		w.exchClaimEpoch[c.node] = ep
+		claimed[c.node] = ep
 		w.exchClaimIdx[c.node] = int32(i)
+		for _, y := range hAdj[hOff[c.node]:hOff[c.node+1]] {
+			near[y] = ep
+		}
 	}
 	adjOf := func(x int32) []int32 {
-		if w.exchClaimEpoch[x] == ep {
+		if claimed[x] == ep {
 			return claims[w.exchClaimIdx[x]].adj
 		}
-		return w.hAdj[w.hOff[x]:w.hOff[x+1]]
+		return hAdj[hOff[x]:hOff[x+1]]
 	}
 
 	k, d := w.Net.K, w.Net.Params.D
 	seen := w.exchSeen
 	seen[v] = ep
 	queue := append(w.exchQueue[:0], int32(v))
-	ok, claimerEdge := true, false
+	ok = true
 	// The queue holds one BFS layer after another; layerEnd marks where
-	// the layer at distance depth ends. Nodes at distance k are reached
-	// (and checked as endpoints) but not expanded.
+	// the layer at distance depth ends. Nodes at distance k are not
+	// expanded.
 	depth, layerEnd := 0, 1
 bfs:
 	for head := 0; head < len(queue); head++ {
@@ -229,7 +264,11 @@ bfs:
 			ok = false
 			break
 		}
-		xClaimed := w.exchClaimEpoch[x] == ep
+		xClaimed := claimed[x] == ep
+		grow := depth < k-1 || wholeBall
+		if !grow && !xClaimed && near[x] != ep {
+			continue // an H row with no claimer on it: nothing to check
+		}
 		for _, y := range adj {
 			if y < 0 || int(y) >= n {
 				ok = false // names no node at all
@@ -237,30 +276,18 @@ bfs:
 			}
 			// Between two truthful reporters H's symmetry already
 			// confirms the edge; only a claimer's edges need asking.
-			yClaimed := w.exchClaimEpoch[y] == ep
+			yClaimed := claimed[y] == ep
 			if (xClaimed || yClaimed) && !slices.Contains(adjOf(y), x) {
 				ok = false // the endpoint denies the edge
 				break bfs
 			}
 			claimerEdge = claimerEdge || (xClaimed && yClaimed)
-			if seen[y] != ep {
+			if grow && seen[y] != ep {
 				seen[y] = ep
 				queue = append(queue, y)
 			}
 		}
 	}
 	w.exchQueue = queue
-	if !ok || !claimerEdge {
-		return ok
-	}
-	// v has a G-channel to every node of its k-ball in H, and to no other
-	// node: a reached node outside the ball is a phantom, claimed within
-	// distance k with no channel to confirm it.
-	_, dist := graph.BallWith(w.exchBFS, v, k)
-	for _, y := range queue {
-		if dist[y] == graph.Unreached {
-			return false
-		}
-	}
-	return true
+	return ok, claimerEdge
 }

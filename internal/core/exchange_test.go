@@ -218,17 +218,37 @@ type funcLiar struct {
 
 func (f *funcLiar) ClaimHNeighbors(w *World, b, v int) []int32 { return f.lie(b, v) }
 
-// fullBallCheck is the crash rule without the skip: v's BFS over the
+// ballVerdict is fullBallCheck's verdict on the claims one victim
+// heard, with where it was decided.
+type ballVerdict struct {
+	ok          bool
+	byPhantom   bool // the phantom check rejected
+	claimerEdge bool // the BFS crossed an edge between two claimers
+	// nearReject: rejected at a depth-(k−1) non-claimer with a claimer
+	// among its H-neighbours, a row the exchange's first pass must read.
+	nearReject bool
+	// quietRows counts the depth-(k−1) rows expanded with no claimer in
+	// or beside them, which the first pass skips.
+	quietRows int
+}
+
+// fullBallCheck is the crash rule without the skips: v's BFS over the
 // claimed topology to radius k with the degree, range and endpoint
-// checks, then the phantom check over every node it reached. It also
-// says whether the phantom check decided and whether the BFS crossed an
-// edge between two claimers.
-func fullBallCheck(h *graph.Graph, k, d, v int, claims map[int32][]int32) (ok, byPhantom, claimerEdge bool) {
+// checks, then the phantom check over every node it reached.
+func fullBallCheck(h *graph.Graph, k, d, v int, claims map[int32][]int32) (r ballVerdict) {
 	adjOf := func(x int32) []int32 {
 		if c, lied := claims[x]; lied {
 			return c
 		}
 		return h.Neighbors(int(x))
+	}
+	besideClaimer := func(x int32) bool {
+		for _, y := range h.Neighbors(int(x)) {
+			if _, lied := claims[y]; lied {
+				return true
+			}
+		}
+		return false
 	}
 	n := h.N()
 	dist := map[int32]int{int32(v): 0}
@@ -238,20 +258,28 @@ func fullBallCheck(h *graph.Graph, k, d, v int, claims map[int32][]int32) (ok, b
 		if dist[x] >= k {
 			continue
 		}
+		_, xClaimed := claims[x]
+		near := false
+		if dist[x] == k-1 && !xClaimed {
+			near = besideClaimer(x)
+			if !near {
+				r.quietRows++
+			}
+		}
 		adj := adjOf(x)
 		if len(adj) != d {
-			return false, false, claimerEdge
+			return r
 		}
-		_, xClaimed := claims[x]
 		for _, y := range adj {
 			if y < 0 || int(y) >= n {
-				return false, false, claimerEdge
+				return r
 			}
 			_, yClaimed := claims[y]
 			if (xClaimed || yClaimed) && !slices.Contains(adjOf(y), x) {
-				return false, false, claimerEdge
+				r.nearReject = near
+				return r
 			}
-			claimerEdge = claimerEdge || (xClaimed && yClaimed)
+			r.claimerEdge = r.claimerEdge || (xClaimed && yClaimed)
 			if _, seen := dist[y]; !seen {
 				dist[y] = dist[x] + 1
 				queue = append(queue, y)
@@ -261,22 +289,41 @@ func fullBallCheck(h *graph.Graph, k, d, v int, claims map[int32][]int32) (ok, b
 	ball := graph.NewBFS(h).RunWithin(v, int32(k))
 	for _, y := range queue {
 		if ball[y] == graph.Unreached {
-			return false, true, claimerEdge
+			r.byPhantom = true
+			return r
 		}
 	}
-	return true, false, claimerEdge
+	r.ok = true
+	return r
+}
+
+// heardClaims returns the claims victim v hears from the Byzantine nodes
+// of its k-ball, by lie (nil: the truth).
+func heardClaims(h *graph.Graph, k, v int, byz []bool, lie func(b, v int) []int32) map[int32][]int32 {
+	claims := map[int32][]int32{}
+	for _, x := range h.Ball(v, k) {
+		if byz[x] {
+			if c := lie(int(x), v); c != nil {
+				claims[x] = c
+			}
+		}
+	}
+	return claims
 }
 
 // TestExchangeClaimerEdgeSkipMatchesFullCheck: the exchange skips the
 // phantom check for a victim whose claimed BFS crossed no edge between
-// two claimers. On random networks whose Byzantine nodes tell random
-// victims consistent rewirings of their shared edges, reordered rows
-// and phantom entries, every honest node crashes exactly when the full
-// check rejects what it heard. The lies reach all three outcomes the
-// skip separates: rejected by the phantom check after a claimer edge,
-// accepted after one, and accepted with the phantom check skipped.
+// two claimers, and the depth-(k−1) rows with no claimer in or beside
+// them. On random networks whose Byzantine nodes tell random victims
+// consistent rewirings of their shared edges, reordered rows and
+// phantom entries, every honest node crashes exactly when the full
+// check rejects what it heard. The lies reach every outcome the skips
+// separate: rejected by the phantom check after a claimer edge, accepted
+// after one, accepted with the phantom check skipped, rejected at a
+// depth-(k−1) neighbour of a claimer, and accepted with depth-(k−1) rows
+// skipped.
 func TestExchangeClaimerEdgeSkipMatchesFullCheck(t *testing.T) {
-	var phantom, acceptedEdge, skipped int
+	var phantom, acceptedEdge, skipped, nearReject, rowsSkipped int
 	for seed := uint64(1); seed <= 12; seed++ {
 		n := 128 << (seed % 3)
 		net, err := hgraph.New(hgraph.Params{N: n, D: 8, Seed: seed})
@@ -354,38 +401,40 @@ func TestExchangeClaimerEdgeSkipMatchesFullCheck(t *testing.T) {
 			if byz[v] {
 				continue
 			}
-			claims := map[int32][]int32{}
-			for _, x := range h.Ball(v, k) {
-				if byz[x] {
-					if c := lie(int(x), v); c != nil {
-						claims[x] = c
-					}
+			claims := heardClaims(h, k, v, byz, lie)
+			if len(claims) == 0 {
+				if w.crashed[v] {
+					t.Fatalf("seed %d: victim %d crashed without hearing a claim", seed, v)
 				}
+				continue
 			}
-			ok, byPhantom, claimerEdge := true, false, false
-			if len(claims) > 0 {
-				ok, byPhantom, claimerEdge = fullBallCheck(h, k, d, v, claims)
-			}
-			if w.crashed[v] == ok {
-				t.Fatalf("seed %d: victim %d crashed=%v, full check accepts=%v (claims from %d nodes, claimer edge %v)",
-					seed, v, w.crashed[v], ok, len(claims), claimerEdge)
+			r := fullBallCheck(h, k, d, v, claims)
+			if w.crashed[v] == r.ok {
+				t.Fatalf("seed %d: victim %d crashed=%v, full check %+v (claims from %d nodes)",
+					seed, v, w.crashed[v], r, len(claims))
 			}
 			switch {
-			case byPhantom:
+			case r.byPhantom:
 				phantom++
-			case ok && claimerEdge:
+			case r.nearReject:
+				nearReject++
+			case r.ok && r.claimerEdge:
 				acceptedEdge++
-			case ok && len(claims) > 0:
+			case r.ok:
 				skipped++
+				if r.quietRows > 0 {
+					rowsSkipped++
+				}
 			}
 		}
 		w.Close()
 	}
-	t.Logf("phantom rejections %d, accepted after a claimer edge %d, phantom check skipped %d",
-		phantom, acceptedEdge, skipped)
-	if phantom == 0 || acceptedEdge == 0 || skipped == 0 {
-		t.Fatalf("lies reached phantom %d, accepted-with-edge %d, skipped %d: every outcome needs a case",
-			phantom, acceptedEdge, skipped)
+	t.Logf("phantom rejections %d, accepted after a claimer edge %d, phantom check skipped %d, "+
+		"rejected beside a claimer at depth k-1 %d, accepted with depth-(k-1) rows skipped %d",
+		phantom, acceptedEdge, skipped, nearReject, rowsSkipped)
+	if phantom == 0 || acceptedEdge == 0 || skipped == 0 || nearReject == 0 || rowsSkipped == 0 {
+		t.Fatalf("lies reached phantom %d, accepted-with-edge %d, skipped %d, near-reject %d, rows-skipped %d: every outcome needs a case",
+			phantom, acceptedEdge, skipped, nearReject, rowsSkipped)
 	}
 }
 

@@ -17,7 +17,8 @@ package core
 //     per-round attestation messages with round-dependent outcomes, so a
 //     node with a standing candidate can never be skipped;
 //   - t == 1 (every node's held was rewritten by color generation) or
-//     t == i (kFinal is captured on a full final-round sweep);
+//     t == i (every active node evaluates the continue criterion from
+//     its k_i, so the final round sweeps everything);
 //   - message loss is armed and v is Byzantine (loss coins re-randomize
 //     every round, and the Byzantine bookkeeping max can rise whenever a
 //     previously-dropped neighbor value gets through).
@@ -307,8 +308,6 @@ func (w *World) quietLossNode(v, t, i int, acc *msgTally) {
 		w.dropped.Add(drops)
 	}
 	// t < i always holds here (final rounds are full sweeps), so kt feeds
-	// the running early maximum, never kFinal.
-	if kt > w.maxEarly[v] {
-		w.maxEarly[v] = kt
-	}
+	// the running early maximum, never the continue test.
+	w.maxEarly[v] = max(w.maxEarly[v], kt)
 }

@@ -106,3 +106,46 @@ func TestWorldReuseSharedTopology(t *testing.T) {
 		})
 	}
 }
+
+// initLogReader counts the nonzero HeldLogAt answers its Init sees, over
+// every node and every round -1..MaxPhase+1.
+type initLogReader struct {
+	core.HonestAdversary
+	nonzero int
+}
+
+func (a *initLogReader) Init(w *core.World) {
+	for v := 0; v < w.N(); v++ {
+		for r := -1; r <= w.Cfg.MaxPhase+1; r++ {
+			if w.HeldLogAt(v, r) != 0 {
+				a.nonzero++
+			}
+		}
+	}
+}
+
+// TestWorldReuseClearsHeldLog: a run that reaches phase 6 leaves held-log
+// rows 0..6 full of colors on its arena (a final-round injector keeps
+// its neighbourhood active to the cap). The next run on that arena, on
+// the same network, must read the whole log as 0 before its first
+// subphase, as a fresh arena would.
+func TestWorldReuseClearsHeldLog(t *testing.T) {
+	net := hgraph.MustNew(hgraph.Params{N: 256, D: 8, Seed: 41})
+	arena := core.NewWorld()
+	defer arena.Close()
+	first, err := arena.Run(net, hgraph.PlaceByzantine(256, 1, rng.New(12)), adversary.FinalRoundInflate{},
+		core.Config{Algorithm: core.AlgorithmBasic, Seed: 71, MaxPhase: 6, RecordPhaseActivity: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if act := first.ActivePerPhase; len(act) < 6 || act[5] == 0 {
+		t.Fatalf("first run's active nodes per phase %v: it never ran phase 6", act)
+	}
+	spy := &initLogReader{}
+	if _, err := arena.Run(net, nil, spy, core.Config{Algorithm: core.AlgorithmByzantine, Seed: 72}); err != nil {
+		t.Fatal(err)
+	}
+	if spy.nonzero != 0 {
+		t.Fatalf("Init read %d nonzero held-log entries left by the previous run", spy.nonzero)
+	}
+}

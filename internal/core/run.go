@@ -74,20 +74,11 @@ func (w *World) runPhase(i int) {
 			w.occPerPhase = append(w.occPerPhase, frac)
 		}()
 	}
+	// Each subphase's final round evaluates the continue criterion
+	// (stepNode), setting continueFlag for the nodes that satisfy it.
 	subphases := w.Sched.Subphases(i)
-	theta := w.Sched.Threshold(i)
 	for j := 1; j <= subphases; j++ {
 		w.runSubphase(i, j)
-		// Evaluate the continue criterion (Algorithm 1 lines 16–18):
-		// k_i > k_t for all t < i, and k_i > θ_i.
-		for v := 0; v < n; v++ {
-			if !w.IsActive(v) {
-				continue
-			}
-			if w.kFinal[v] > w.maxEarly[v] && float64(w.kFinal[v]) > theta {
-				w.continueFlag[v] = true
-			}
-		}
 	}
 	// Decision (Algorithm 1 lines 20–24).
 	for v := 0; v < n; v++ {
@@ -103,14 +94,16 @@ func (w *World) runPhase(i int) {
 
 // runSubphase executes one subphase of phase i: color generation followed
 // by exactly i flooding rounds. With the frontier engine enabled, rounds
-// 1 and i sweep every node (all inputs changed at color generation; the
-// final round captures kFinal network-wide) and the rounds between step
-// only the dirty worklist (see frontier.go).
+// 1 and i sweep every node (all inputs changed at color generation; in
+// the final round every active node evaluates the continue criterion)
+// and the rounds between step only the dirty worklist (see frontier.go).
 func (w *World) runSubphase(i, j int) {
 	n := w.N()
 	w.Clock = Clock{Phase: i, Subphase: j, Round: 0}
 
 	w.entryRound = 0
+	w.growHeldLog(i)
+	w.stepTheta = w.Sched.Threshold(i)
 
 	// Color generation (Algorithm 1 lines 10–11). Decided nodes stop
 	// generating but keep forwarding; crashed nodes are silent.
@@ -123,7 +116,6 @@ func (w *World) runSubphase(i, j int) {
 		w.color[v] = c
 		cur[v] = c
 		w.maxEarly[v] = 0
-		w.kFinal[v] = 0
 	}
 	copy(w.heldLog[0], cur)
 	w.logTop = 0
@@ -297,8 +289,8 @@ func (a *msgTally) publish(c *sim.Counters) {
 
 // stepNode advances node v through round t of an i-round subphase:
 // deliver neighbor sends, verify improvements, update the held color and
-// the k_t bookkeeping. Message costs are charged to the caller's chunk
-// tally.
+// the k_t bookkeeping (in the final round, the continue test). Message
+// costs are charged to the caller's chunk tally.
 func (w *World) stepNode(v, t, i int, verify bool, acc *msgTally) {
 	cur := w.held.Cur()
 	next := w.held.Next()
@@ -350,21 +342,28 @@ func (w *World) stepNode(v, t, i int, verify bool, acc *msgTally) {
 	if !lossy && !w.byzRow[v] && end-begin <= maxCandidates {
 		// Row-max kernel: every reception is a neighbor's held color
 		// (crashed senders hold 0, see DESIGN §1), so the scan is one
-		// branch-free running max over the row.
+		// running max over the row.
 		row := hAdj[begin:end]
+		if !verify {
+			// Algorithm 1 takes the max reception unverified: it is k_t,
+			// and the new held value when it exceeds heldv.
+			for _, nb := range row {
+				kt = max(kt, cur[nb])
+			}
+			next[v] = max(heldv, kt)
+			w.hasCand[v] = kt > heldv
+			w.foldKt(v, kt, t, i)
+			return
+		}
+		// Algorithm 2 also needs the sender of the max's first arrival.
 		for _, nb := range row {
-			best = max(best, cur[nb])
+			if c := cur[nb]; c > best {
+				best, from = c, nb
+			}
 		}
 		if best <= heldv {
 			// Only echoes: the max reception is k_t, and nothing to verify.
 			kt, best = best, 0
-		} else if verify {
-			for _, nb := range row {
-				if cur[nb] == best {
-					from = nb
-					break
-				}
-			}
 		}
 	} else {
 		var cands int
@@ -390,12 +389,19 @@ func (w *World) stepNode(v, t, i int, verify bool, acc *msgTally) {
 	}
 
 	next[v] = newHeld
+	w.foldKt(v, kt, t, i)
+}
+
+// foldKt records k_t, honest node v's max reception in round t of an
+// i-round subphase. Earlier rounds raise max_{t<i} k_t; the final round
+// evaluates the continue criterion (Algorithm 1 lines 16–18): k_i > k_t
+// for all t < i, and k_i > θ_i. The phase's decision reads the flag only
+// for active nodes, so a decided one may set it too.
+func (w *World) foldKt(v int, kt int64, t, i int) {
 	if t < i {
-		if kt > w.maxEarly[v] {
-			w.maxEarly[v] = kt
-		}
-	} else {
-		w.kFinal[v] = kt
+		w.maxEarly[v] = max(w.maxEarly[v], kt)
+	} else if kt > w.maxEarly[v] && float64(kt) > w.stepTheta {
+		w.continueFlag[v] = true
 	}
 }
 

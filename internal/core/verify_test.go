@@ -30,6 +30,7 @@ func newVerifyFixture(t *testing.T, byzIdx []int, adv Adversary) *verifyFixture 
 	cfg := Config{Algorithm: AlgorithmByzantine, Seed: 303}.withDefaults(256)
 	w := newWorld(net, byz, adv, cfg)
 	t.Cleanup(w.Close)
+	w.growHeldLog(cfg.MaxPhase) // every row a round can read
 	adv.Init(w)
 	return &verifyFixture{w: w, net: net}
 }
@@ -168,6 +169,7 @@ func TestVerifyRejectsIsolatedByzantineMidSubphase(t *testing.T) {
 	adv := attestYes{}
 	w := newWorld(net, byz, adv, cfg)
 	defer w.Close()
+	w.growHeldLog(cfg.MaxPhase)
 	victim := int(net.H.UniqueNeighbors(b)[0])
 	// t = k = 3: needs a chain of 2 beyond b; all of b's neighbors are
 	// honest with empty logs.
@@ -201,6 +203,7 @@ func TestVerifySimplePathPreventsBouncing(t *testing.T) {
 	cfg := Config{Algorithm: AlgorithmByzantine, Seed: 303}.withDefaults(256)
 	w := newWorld(net, byz, attestYes{}, cfg)
 	defer w.Close()
+	w.growHeldLog(cfg.MaxPhase)
 
 	// Victim adjacent to b1 but not Byzantine.
 	victim := -1

@@ -33,18 +33,20 @@ type World struct {
 	// different network; everything below is per-run state.
 	hOff, hAdj []int32
 
-	held         *sim.Exchange[int64]
-	heldBuf      []int64   // slab backing heldLog, zeroed on Reset
-	heldLog      [][]int64 // [round][node] held value after each round of the current subphase
-	logTop       int       // last heldLog row written this subphase
-	logN, logLen int       // dimensions heldBuf/heldLog were built for
-	color        []int64   // color drawn this subphase (0 if not generating)
-	decided      []int32   // phase at which the node decided; 0 = still active
-	decidedRound []int64   // global round at which the node decided
-	crashed      []bool    // honest nodes that shut down in the exchange
-	continueFlag []bool    // per-phase: some subphase satisfied the continue criterion
-	maxEarly     []int64   // per-subphase: max_{t<i} k_t
-	kFinal       []int64   // per-subphase: k_i
+	held *sim.Exchange[int64]
+	// heldLog[t][v] is v's held value after round t of the current
+	// subphase (row 0: its generated color). It has rows 0..i for the
+	// highest phase i the run has reached, grown at subphase start on
+	// the rows an earlier run left; Reset cuts it back to row 0, zeroed.
+	// Reads clamp to logTop, the last row written this subphase.
+	heldLog      [][]int64
+	logTop       int
+	color        []int64 // color drawn this subphase (0 if not generating)
+	decided      []int32 // phase at which the node decided; 0 = still active
+	decidedRound []int64 // global round at which the node decided
+	crashed      []bool  // honest nodes that shut down in the exchange
+	continueFlag []bool  // per-phase: some subphase's final round met the continue criterion
+	maxEarly     []int64 // per-subphase: max_{t<i} k_t
 	colorSrc     []rng.Source
 	zeroByz      []bool // reusable all-false vector for byz == nil
 
@@ -81,12 +83,14 @@ type World struct {
 	// a fresh one (which would escape to the heap) every round. stepFn
 	// walks node ids directly (full sweeps); stepListFn walks the frontier
 	// worklist (see frontier.go). Each chunk tallies its message costs on
-	// its own stack and publishes them once (msgTally).
+	// its own stack and publishes them once (msgTally). stepTheta is the
+	// phase's continue threshold θ_i, read by the final round's steps.
 	stepFn     func(start, end int)
 	stepListFn func(start, end int)
 	stepRound  int
 	stepPhase  int
 	stepVerify bool
+	stepTheta  float64
 
 	// fr is the quiescence-aware frontier scheduler's reusable state
 	// (worklists, dirty stamps, the quiet flood-cost aggregate); hasCand[v]
@@ -115,11 +119,12 @@ type World struct {
 	// victim, and exchEnd[v] is where v's records end; exchKeys holds
 	// their keys, k entries per record. All three are sized by a counting
 	// pass and reused across runs. The claimed-topology BFS stamps the
-	// nodes it reaches (exchSeen) and the victim's claimers
-	// (exchClaimEpoch, with their index into exchClaims in exchClaimIdx)
-	// with exchEpoch, one epoch per victim that heard a claim, so nothing
-	// is cleared between victims or runs; a victim whose claimed ball
-	// passes that BFS gets its channel set, its own k-ball, from exchBFS.
+	// nodes it reaches (exchSeen), the victim's claimers (exchClaimEpoch,
+	// with their index into exchClaims in exchClaimIdx) and the claimers'
+	// H-neighbours (exchNear) with exchEpoch, a fresh epoch per pass, so
+	// nothing is cleared between victims or runs; a victim whose claimed
+	// ball needs the phantom check gets its channel set, its own k-ball,
+	// from exchBFS.
 	exchBFS        *graph.BFS
 	exchEnd        []int32
 	exchRecs       []exchRec
@@ -128,6 +133,7 @@ type World struct {
 	exchQueue      []int32
 	exchEpoch      int32
 	exchSeen       []int32
+	exchNear       []int32
 	exchClaimEpoch []int32
 	exchClaimIdx   []int32
 
@@ -215,17 +221,8 @@ func (w *World) Reset(net *hgraph.Network, byz []bool, adv Adversary, cfg Config
 	} else {
 		w.held.Reset()
 	}
-	logLen := cfg.MaxPhase + 1
-	if w.logN != n || w.logLen != logLen {
-		w.heldBuf = resetSlice(w.heldBuf, n*logLen)
-		w.heldLog = resetSlice(w.heldLog, logLen)
-		for r := range w.heldLog {
-			w.heldLog[r] = w.heldBuf[r*n : (r+1)*n]
-		}
-		w.logN, w.logLen = n, logLen
-	} else {
-		clear(w.heldBuf)
-	}
+	w.heldLog = w.heldLog[:0]
+	w.growHeldLog(0)
 	w.logTop = 0
 	w.color = resetSlice(w.color, n)
 	w.decided = resetSlice(w.decided, n)
@@ -233,7 +230,6 @@ func (w *World) Reset(net *hgraph.Network, byz []bool, adv Adversary, cfg Config
 	w.crashed = resetSlice(w.crashed, n)
 	w.continueFlag = resetSlice(w.continueFlag, n)
 	w.maxEarly = resetSlice(w.maxEarly, n)
-	w.kFinal = resetSlice(w.kFinal, n)
 	w.views = resetSlice(w.views, n)
 	if cap(w.colorSrc) < n {
 		w.colorSrc = make([]rng.Source, n)
@@ -291,6 +287,17 @@ func (w *World) Reset(net *hgraph.Network, byz []bool, adv Adversary, cfg Config
 		w.exchBFS = graph.NewBFS(net.H)
 	}
 	return nil
+}
+
+// growHeldLog extends the held log to rows 0..top, each n zeroed
+// entries, reusing the rows, and their capacity, that an earlier run
+// left past its length.
+func (w *World) growHeldLog(top int) {
+	n := w.N()
+	for r := len(w.heldLog); r <= top; r++ {
+		w.heldLog = slices.Grow(w.heldLog, 1)[:r+1]
+		w.heldLog[r] = resetSlice(w.heldLog[r], n)
+	}
 }
 
 // clearByzIn resets the slot marks left by the previous run's Byzantine
@@ -386,7 +393,7 @@ func (w *World) Held(v int) int64 { return w.held.Cur()[v] }
 // last completed one reads as v's current held color, and a round
 // outside [0, MaxPhase] as 0.
 func (w *World) HeldLogAt(v, r int) int64 {
-	if r < 0 || r >= len(w.heldLog) {
+	if r < 0 || r > w.Cfg.MaxPhase {
 		return 0
 	}
 	return w.heldLog[min(r, w.logTop)][v]
