@@ -69,9 +69,9 @@ func syntheticBaseline(nsPerOp float64, otherMachine bool) trajectory {
 	return trajectory{Series: []entry{e}}
 }
 
-// Case names the gates pair up: the arena case the baseline holds, a
-// hiphase frontier/dense pair (minSpeedup) and a generation fast/reference
-// pair (minGenSpeedup).
+// Case names the gates pair up: the arena case the baseline holds and a
+// hiphase frontier/dense pair (minSpeedup). The generation pair is only
+// reported.
 const (
 	arenaCase    = "core/run-arena/n=1"
 	frontierCase = "core/run-hiphase/n=1"
@@ -88,7 +88,7 @@ func TestCompareGates(t *testing.T) {
 	}
 	shortBenchtime(t)
 	// clean is the set of cases every gate passes: the dense case costs
-	// 4× the frontier one, and the reference generator 4× the fast one.
+	// 4× the frontier one.
 	clean := func() map[string]benchCase {
 		return map[string]benchCase{
 			arenaCase:    {name: arenaCase, fn: spin(1)},
@@ -117,13 +117,6 @@ func TestCompareGates(t *testing.T) {
 				cs[denseCase] = benchCase{name: denseCase, fn: spin(1)}
 			},
 			want: frontierCase + ": frontier speedup"},
-		{name: "gen-ratio", baseline: syntheticBaseline(1e9, true),
-			edit: func(cs map[string]benchCase) {
-				// Generation now costs 4× the reference generator.
-				cs[genCase] = benchCase{name: genCase, fn: spin(4)}
-				cs[genRefCase] = benchCase{name: genRefCase, fn: spin(1)}
-			},
-			want: genCase + ": generation speedup"},
 		{name: "ns-regression-same-machine", baseline: syntheticBaseline(1, false),
 			want: arenaCase + ": ns/op"},
 	} {

@@ -118,14 +118,12 @@ func cases(quick bool) []benchCase {
 	sizes := []int{512, 1024, 4096, 16384}
 	hiphase := []struct{ n, maxPhase int }{{4096, 28}, {16384, 28}}
 	genSizes := []int{16384, 65536}
-	genRefSizes := []int{16384} // the seed path at 65536 is prohibitively slow
 	loadSizes := []int{16384, 65536}
 	countSizes := []int{512, 4096}
 	if quick {
 		sizes = []int{512}
 		hiphase = []struct{ n, maxPhase int }{{512, 14}}
 		genSizes = []int{1024}
-		genRefSizes = []int{1024}
 		loadSizes = []int{1024}
 		countSizes = []int{512}
 	}
@@ -220,29 +218,28 @@ func cases(quick bool) []benchCase {
 		}
 	}
 
-	// Topology pipeline: generation on the fast path with G built, the
-	// seed reference generator, which builds G eagerly (same machine, so
-	// each entry records the speedup ratio), and a disk-tier hit (what a
-	// warm store turns a cache miss into; a blob holds no G).
+	// Topology pipeline: what a cache miss pays to generate a network
+	// (H, K and the IDs; no job builds G), the same generation with the
+	// seed's map-based ID set (same machine, so each entry records the
+	// ratio), and a disk-tier hit (what a warm store turns a cache miss
+	// into).
 	for _, n := range genSizes {
 		n := n
 		cs = append(cs, benchCase{name: fmt.Sprintf("hgraph/gen/n=%d", n), fn: func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				net, err := hgraph.New(hgraph.Params{N: n, D: 8, Seed: 11})
-				if err != nil {
+				if _, err := hgraph.New(hgraph.Params{N: n, D: 8, Seed: 11}); err != nil {
 					b.Fatal(err)
 				}
-				net.G()
 			}
 		}})
 	}
-	for _, n := range genRefSizes {
+	for _, n := range genSizes {
 		n := n
 		cs = append(cs, benchCase{name: fmt.Sprintf("hgraph/gen-ref/n=%d", n), fn: func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := hgraph.NewReference(hgraph.Params{N: n, D: 8, Seed: 11}); err != nil {
+				if _, err := hgraph.NewReference(hgraph.Params{N: n, D: 8, Seed: 11}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -351,14 +348,6 @@ func measureBest(c benchCase) benchResult {
 // catching any change that erases the frontier engine's win.
 const minSpeedup = 1.1
 
-// minGenSpeedup is the floor on the same-run reference-vs-fast topology
-// generation ratio (hgraph/gen-ref over hgraph/gen at the same n; both
-// time the lattice closure). Measured on a 2-vCPU VM: 5.6× at n=16384,
-// where Network.G fans the closure out over both cores, and 5.1–5.4× at
-// the quick n=1024, which runs serially. 1.3 leaves noise room while
-// catching any change that erases the fast path's win.
-const minGenSpeedup = 1.3
-
 // compare re-measures the core/run benchmarks of the baseline's last
 // entry that this run also has and writes a benchstat-style table. Two
 // machine-independent checks always gate:
@@ -453,10 +442,10 @@ func compare(baseline trajectory, cs []benchCase, maxRegress float64, out *strin
 		}
 	}
 
-	// Same-run topology-generation ratio: the fast path vs the in-tree
-	// seed reference, both with G built, machine-independent like the
-	// frontier ratio. The disk-tier cost of a blob is reported alongside
-	// (informational: it measures the page cache as much as the codec).
+	// Same-run topology-generation ratios, informational: generation vs
+	// the seed's map-based ID set, which differ only in AssignIDs, and
+	// vs the disk-tier cost of a blob, which measures the page cache as
+	// much as the codec.
 	for _, c := range cs {
 		if !strings.HasPrefix(c.name, "hgraph/gen/") {
 			continue
@@ -468,11 +457,7 @@ func compare(baseline trajectory, cs []benchCase, maxRegress float64, out *strin
 		}
 		fast := measureBest(c)
 		ref := measureBest(rc)
-		ratio := ref.NsPerOp / fast.NsPerOp
-		fmt.Fprintf(out, "\n%-36s ref/fast = %.2fx (floor %.2fx)\n", c.name, ratio, minGenSpeedup)
-		if ratio < minGenSpeedup {
-			failures = append(failures, fmt.Sprintf("%s: generation speedup %.2fx below %.2fx floor", c.name, ratio, minGenSpeedup))
-		}
+		fmt.Fprintf(out, "\n%-36s ref/fast = %.2fx (informational)\n", c.name, ref.NsPerOp/fast.NsPerOp)
 		if lc, ok := byName[strings.Replace(c.name, "hgraph/gen/", "graphio/load/", 1)]; ok {
 			load := measureBest(lc)
 			fmt.Fprintf(out, "%-36s gen/load = %.2fx (informational)\n", lc.name, fast.NsPerOp/load.NsPerOp)

@@ -36,6 +36,8 @@ type FrontierMode int
 const (
 	// FrontierOn, the default, runs quiescence-aware frontier scheduling:
 	// only nodes whose inputs may have changed are stepped each round.
+	// Under message loss no round is quiet, and every node is stepped
+	// every round, as under FrontierOff.
 	FrontierOn FrontierMode = iota
 	// FrontierOff forces the dense reference loop: every node is stepped
 	// every round. Byte-identical Results to FrontierOn, forever — the
@@ -93,12 +95,15 @@ type Config struct {
 	// FrontierRounds selects the round-engine scheduling strategy. The
 	// default (FrontierOn) runs the quiescence-aware frontier engine,
 	// which skips nodes whose inputs cannot have changed; FrontierOff
-	// forces the dense reference loop. Both produce byte-identical
-	// Results — the toggle exists so the equivalence is testable forever.
+	// forces the dense reference loop. A run with message loss armed
+	// takes the dense loop in either mode: loss coins change every
+	// round, so no node's inputs stay unchanged. Both produce
+	// byte-identical Results — the toggle exists so the equivalence is
+	// testable forever.
 	FrontierRounds FrontierMode
 	// RecordFrontierOccupancy, when set, records the fraction of
 	// node-rounds actually stepped in each phase (experiment E20). Under
-	// FrontierOff every phase records 1.
+	// FrontierOff, or with message loss armed, every phase records 1.
 	RecordFrontierOccupancy bool
 }
 

@@ -31,70 +31,71 @@ func (w *World) runExchange() {
 	// Only nodes with a Byzantine node inside their radius-k H-ball can
 	// receive a lie; everyone else reconstructs the truth trivially. The
 	// victims and their Byzantine channels are found from the Byzantine
-	// side: one record per (victim, channel) pair, grouped by victim with
-	// a counting sort. b's victims are the honest nodes of its k-ball,
-	// counted by a first BFS from b. After the prefix sum end[v] is where
-	// v's records start; the fill advances it past them.
+	// side, by one k-ball BFS per Byzantine node b: for every honest v in
+	// the ball it records v's distance to b and v's key for b, the least
+	// sequence of H-row indices over shortest v→b paths. A greedy descent
+	// along b's distance field finds the key, taking the first entry of
+	// each row that steps one closer to b. The records land in
+	// Byzantine-node order, and the same pass counts each victim's.
 	n := w.N()
 	k, d := w.Net.K, w.Net.Params.D
 	end := resetSlice(w.exchEnd, n+1)
-	w.exchEnd = end
+	// One slab holds the records twice, first in fill order and then
+	// grouped by victim, and the key slab holds at most k entries per
+	// record. Both are sized for the fullest balls a d-regular H admits,
+	// so the pass never grows them: a fresh arena allocates each once, a
+	// warm one not at all.
+	bound := len(w.byzList) * maxBall(n, d, k)
+	if cap(w.exchRecs) < 2*bound {
+		w.exchRecs = make([]exchRec, 2*bound)
+	}
+	if keyBound := bound * min(k, n-1); cap(w.exchKeys) < keyBound {
+		w.exchKeys = make([]int32, 0, keyBound)
+	}
+	fill, keys := w.exchRecs[:0:bound], w.exchKeys[:0]
 	// Exchange cost: every uncrashed node ships its adjacency list to all
 	// G-neighbors (constant rounds, constant-ID messages: Remark 3). A
 	// node's G-neighbors are its k-ball less itself, so the honest nodes
 	// send S less the Byzantine nodes' balls.
 	sent := w.Net.S()
-	for _, b := range w.byzList {
-		ball, _ := graph.BallWith(w.exchBFS, int(b), k)
-		sent -= len(ball) - 1
-		for _, v := range ball {
-			if !w.Byz[v] {
-				end[v+1]++
-			}
-		}
-	}
-	w.counters.CountMessages(sent, (d+1)*64)
-	w.counters.CountRound()
-
-	if len(w.byzList) == 0 {
-		return
-	}
-	for v := 1; v <= n; v++ {
-		end[v] += end[v-1]
-	}
-	total := int(end[n])
-	recs := resetSlice(w.exchRecs, total)
-	keys := resetSlice(w.exchKeys, total*k)
-	w.exchRecs, w.exchKeys = recs, keys
-
-	// The fill runs one k-ball BFS per Byzantine node b and records, for
-	// every honest v in the ball, v's distance to b and v's key for b:
-	// the least sequence of H-row indices over shortest v→b paths. A
-	// greedy descent along b's distance field finds it, taking the first
-	// entry of each row that steps one closer to b.
 	hOff, hAdj := w.hOff, w.hAdj
 	for _, b := range w.byzList {
 		ball, dist := graph.BallWith(w.exchBFS, int(b), k)
+		sent -= len(ball) - 1
 		for _, v := range ball {
 			if w.Byz[v] {
 				continue
 			}
-			at := int(end[v])
-			end[v]++
-			dv := dist[v]
-			key := keys[at*k : at*k+int(dv)]
-			x := v
-			for i := range key {
-				want := dv - int32(i) - 1
+			end[v+1]++
+			dv, at, x := dist[v], len(keys), v
+			for want := dv - 1; want >= 0; want-- {
 				for j, y := range hAdj[hOff[x]:hOff[x+1]] {
 					if dist[y] == want {
-						key[i], x = int32(j), y
+						keys, x = append(keys, int32(j)), y
 						break
 					}
 				}
 			}
-			recs[at] = exchRec{node: b, dist: dv, key: at * k}
+			fill = append(fill, exchRec{node: b, victim: v, dist: dv, key: int32(at)})
 		}
+	}
+	w.exchEnd, w.exchKeys = end, keys
+	w.counters.CountMessages(sent, (d+1)*64)
+	w.counters.CountRound()
+
+	if len(fill) == 0 {
+		return
+	}
+	// A counting sort groups the records by victim: after the prefix sum
+	// end[v] is where v's records start, and the scatter advances it past
+	// them.
+	for v := 1; v <= n; v++ {
+		end[v] += end[v-1]
+	}
+	recs := resetSlice(w.exchRecs[bound:], len(fill))
+	for _, r := range fill {
+		recs[end[r.victim]] = r
+		end[r.victim]++
 	}
 
 	lo := int32(0)
@@ -106,12 +107,21 @@ func (w *World) runExchange() {
 	}
 }
 
-// exchRec is one Byzantine channel of a victim: the Byzantine node, its
-// H-distance from the victim, and where the victim's key for it starts in
-// the key slab (dist entries).
+// maxBall bounds the size of a radius-k ball in a d-regular graph on n
+// nodes: 1 + d + d(d−1) + … + d(d−1)^(k−1), and at most n.
+func maxBall(n, d, k int) int {
+	ball, layer := 1, d
+	for i := 0; i < k && ball < n; i++ {
+		ball, layer = ball+layer, layer*(d-1)
+	}
+	return min(ball, n)
+}
+
+// exchRec is one Byzantine channel of a victim: the Byzantine node, the
+// victim, their H-distance, and where the victim's key for the channel
+// starts in the key slab (dist entries).
 type exchRec struct {
-	node, dist int32
-	key        int
+	node, victim, dist, key int32
 }
 
 // claim is one adjacency list a Byzantine node reported to the current
@@ -132,8 +142,8 @@ func (w *World) exchangeAtVictim(v int, recs []exchRec, keys []int32) {
 			if a.dist != b.dist {
 				return int(a.dist - b.dist)
 			}
-			kb := keys[b.key : b.key+int(b.dist)]
-			for i, x := range keys[a.key : a.key+int(a.dist)] {
+			kb := keys[b.key : b.key+b.dist]
+			for i, x := range keys[a.key : a.key+a.dist] {
 				if x != kb[i] {
 					return int(x - kb[i])
 				}

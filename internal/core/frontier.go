@@ -18,10 +18,7 @@ package core
 //     node with a standing candidate can never be skipped;
 //   - t == 1 (every node's held was rewritten by color generation) or
 //     t == i (every active node evaluates the continue criterion from
-//     its k_i, so the final round sweeps everything);
-//   - message loss is armed and v is Byzantine (loss coins re-randomize
-//     every round, and the Byzantine bookkeeping max can rise whenever a
-//     previously-dropped neighbor value gets through).
+//     its k_i, so the final round sweeps everything).
 //
 // Everything else is provably quiescent, and the engine keeps the
 // bookkeeping the dense loop would have produced for those nodes at O(1)
@@ -38,14 +35,13 @@ package core
 //     call. MaxMessageBits needs no update: a skipped node's (degree,
 //     held) pair was already counted by a stepped round — held changes
 //     always force a step in the following round — so the running
-//     maximum already covers it;
-//   - under MessageLoss the stateless (seed, edge, round) coins are
-//     evaluated lazily for every potential reception of every skipped
-//     node, keeping DroppedMessages and the k_t bookkeeping exact; a
-//     delivered reception above the held value promotes the node to a
-//     full (serial) stepNode call, whose own coin evaluation
-//     deterministically reproduces the same outcomes, so nothing is
-//     double-counted.
+//     maximum already covers it.
+//
+// A run with message loss armed sweeps every node in every round
+// (runSubphase): loss coins re-randomize each round, so every node's
+// received set, dropped count and k_t can change with unchanged inputs,
+// and no round is quiet. Replaying the coins of the skipped nodes walked
+// their rows anyway and measured no faster than the dense loop.
 //
 // Skipped nodes never write the exchange board, which is sound because a
 // node only enters the skipped set when its value was unchanged in the
@@ -55,8 +51,8 @@ package core
 // The worklist is compacted (pool.ForChunks runs over dense indices into
 // fr.list, not 0..n), membership is deduplicated by epoch stamps so no
 // per-round clearing is needed, and every slice lives in World scratch:
-// the round loop stays at 0 allocs/op with the frontier enabled, lossy
-// included (TestRoundLoopZeroAlloc).
+// the round loop stays at 0 allocs/op with the frontier enabled
+// (TestRoundLoopZeroAlloc).
 
 // frontier holds the scheduler's reusable per-run state.
 type frontier struct {
@@ -109,11 +105,10 @@ func (f *frontier) resetQuiet() {
 	f.quietMsgs, f.quietBits = 0, 0
 }
 
-// stepped reports whether v is in the current round's worklist.
-func (f *frontier) stepped(v int) bool { return f.stamp[v] == f.epoch }
-
 // mark adds v to the current worklist if it is not already a member,
-// removing it from the quiet aggregate if it was accounted there.
+// removing it from the quiet aggregate if it was accounted there. The
+// serial latch loop also calls it before dispatch, for the receiver of a
+// Byzantine send slot that latched a different value.
 func (w *World) mark(v int32) {
 	f := &w.fr
 	if f.stamp[v] == f.epoch {
@@ -129,13 +124,6 @@ func (w *World) mark(v int32) {
 	}
 }
 
-// markLatchedSend records that a Byzantine send slot latched a different
-// value than the receiver last processed, dirtying the receiver for the
-// current round. Called from the (serial) latch loop before dispatch.
-func (w *World) markLatchedSend(receiver int32) {
-	w.mark(receiver)
-}
-
 // setQuiet accounts held (the value v floods while it sleeps) into the
 // quiet aggregate. Callers have established that v is honest, uncrashed,
 // and outside the next round's worklist.
@@ -149,10 +137,9 @@ func (f *frontier) setQuiet(v int32, deg int32, held int64) {
 }
 
 // buildFrontier computes the round-(t+1) worklist from the round-t stepped
-// set (the full node range when full is set, fr.list otherwise, including
-// any nodes quietLossPass promoted). It runs after the round's stepNode
-// calls and before the exchange Swap, so next[] holds the new values and
-// cur[] the old ones.
+// set (the full node range when full is set, fr.list otherwise). It runs
+// after the round's stepNode calls and before the exchange Swap, so
+// next[] holds the new values and cur[] the old ones.
 //
 // For every stepped node whose value changed, the node itself and all its
 // H-neighbors are marked; a node with a standing improvement candidate
@@ -217,15 +204,6 @@ func (w *World) buildFrontier(full bool) {
 			markNode(v)
 		}
 	}
-	if w.plan.lossThresh != 0 {
-		// Loss coins re-randomize every round: Byzantine bookkeeping must
-		// be recomputed even with unchanged inputs (honest skipped nodes
-		// are covered by quietLossPass's lazy coin evaluation instead).
-		for _, b := range w.byzList {
-			w.mark(b)
-		}
-	}
-
 	// Fold membership transitions into the quiet flood-cost aggregate.
 	if full {
 		// Everyone was stepped (and self-accounted); rebuild the quiet
@@ -247,67 +225,4 @@ func (w *World) buildFrontier(full bool) {
 			}
 		}
 	}
-}
-
-// quietLossPass replays the loss coins for every node the frontier
-// skipped in round t (1 < t < i): under MessageLoss the coins
-// re-randomize each round, so a sleeping node's received set — and with
-// it the dropped count and the k_t bookkeeping — changes even when its
-// inputs do not. It runs serially after the round's parallel dispatch and
-// before the exchange Swap.
-func (w *World) quietLossPass(t, i int) {
-	n := w.N()
-	var acc msgTally // promoted nodes' message costs
-	for v := 0; v < n; v++ {
-		if w.fr.stepped(v) || w.crashed[v] || w.Byz[v] {
-			// Stepped nodes accounted themselves; crashed nodes receive
-			// nothing (the dense loop returns before its reception
-			// loop); lossy Byzantine nodes are always in the frontier.
-			continue
-		}
-		w.quietLossNode(v, t, i, &acc)
-	}
-	acc.publish(&w.counters)
-}
-
-// quietLossNode mirrors the dense reception loop exactly for one skipped
-// node: silent or crashed senders evaluate no coin, dropped receptions
-// are counted, and delivered echoes fold into the k_t bookkeeping. A
-// delivered reception above the held value means the skip prediction was
-// wrong — the node is promoted into the stepped set and run through the
-// full stepNode (whose deterministic re-evaluation of the same coins
-// reproduces the partial scan, so the locally accumulated drop count is
-// simply discarded).
-func (w *World) quietLossNode(v, t, i int, acc *msgTally) {
-	cur := w.held.Cur()
-	held := cur[v]
-	var drops, kt int64
-	for e := w.hOff[v]; e < w.hOff[v+1]; e++ {
-		c := w.reception(e, cur)
-		if c == 0 {
-			continue
-		}
-		if w.dropRecv(e) {
-			drops++
-			continue
-		}
-		if c > held {
-			// Promote: mark() pulls v out of the quiet aggregate (so the
-			// round's aggregate fold does not double-count the flooding
-			// cost stepNode is about to record) and into the stepped set
-			// the next buildFrontier iterates.
-			w.mark(int32(v))
-			w.stepNode(v, t, i, w.stepVerify, acc)
-			return
-		}
-		if c > kt {
-			kt = c
-		}
-	}
-	if drops > 0 {
-		w.dropped.Add(drops)
-	}
-	// t < i always holds here (final rounds are full sweeps), so kt feeds
-	// the running early maximum, never the continue test.
-	w.maxEarly[v] = max(w.maxEarly[v], kt)
 }

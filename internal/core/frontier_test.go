@@ -171,7 +171,8 @@ func (o *worldHasher) record(w *core.World, at int64) {
 // TestFrontierOccupancyRecording checks the E20 instrumentation: the
 // frontier engine reports one in-(0,1] fraction per executed phase and
 // actually dips below 1 on a quiescent high-phase run, while the dense
-// loop reports exactly 1 everywhere.
+// loop, and the frontier engine under message loss, report exactly 1
+// everywhere.
 func TestFrontierOccupancyRecording(t *testing.T) {
 	net := hgraph.MustNew(hgraph.Params{N: 512, D: 8, Seed: 31})
 	byz := hgraph.PlaceByzantine(512, 1, rng.New(32))
@@ -211,14 +212,27 @@ func TestFrontierOccupancyRecording(t *testing.T) {
 		t.Fatalf("no phase below 0.9 occupancy: %v — the high-phase regime is not exercised", res.FrontierOccupancy)
 	}
 
-	cfg.FrontierRounds = core.FrontierOff
-	dense, err := core.Run(net, byz, adversary.FinalRoundInflate{}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range dense.FrontierOccupancy {
-		if f != 1 {
-			t.Fatalf("dense loop phase %d occupancy %v, want 1", i+1, f)
+	// The dense loop, and the frontier engine under message loss, step
+	// every node in every round.
+	lossy := cfg
+	lossy.Faults = []core.FaultModel{core.MessageLoss{Prob: 0.05}}
+	dense := cfg
+	dense.FrontierRounds = core.FrontierOff
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{{"dense loop", dense}, {"lossy frontier", lossy}} {
+		res, err := core.Run(net, byz, adversary.FinalRoundInflate{}, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.FrontierOccupancy) == 0 {
+			t.Fatalf("%s: no occupancy recorded", c.name)
+		}
+		for i, f := range res.FrontierOccupancy {
+			if f != 1 {
+				t.Fatalf("%s: phase %d occupancy %v, want 1", c.name, i+1, f)
+			}
 		}
 	}
 }

@@ -97,6 +97,8 @@ func (w *World) runPhase(i int) {
 // 1 and i sweep every node (all inputs changed at color generation; in
 // the final round every active node evaluates the continue criterion)
 // and the rounds between step only the dirty worklist (see frontier.go).
+// A run with message loss armed sweeps every node in every round: its
+// loss coins change each round, so no node's round is quiet.
 func (w *World) runSubphase(i, j int) {
 	n := w.N()
 	w.Clock = Clock{Phase: i, Subphase: j, Round: 0}
@@ -123,7 +125,7 @@ func (w *World) runSubphase(i, j int) {
 	w.adv.SubphaseStart(w)
 
 	verify := w.Cfg.Algorithm == AlgorithmByzantine
-	frontier := w.Cfg.FrontierRounds == FrontierOn
+	frontier := w.Cfg.FrontierRounds == FrontierOn && w.plan.lossThresh == 0
 	hOff, hAdj := w.hOff, w.hAdj
 	for t := 1; t <= i; t++ {
 		w.Clock.Round = t
@@ -145,7 +147,7 @@ func (w *World) runSubphase(i, j int) {
 				r++
 				send := w.adv.Send(w, int(b), int(hAdj[e]), t)
 				if !full && send != w.byzSends[slot] {
-					w.markLatchedSend(hAdj[e])
+					w.mark(hAdj[e])
 				}
 				w.byzSends[slot] = send
 			}
@@ -155,9 +157,6 @@ func (w *World) runSubphase(i, j int) {
 			w.pool.ForChunks(n, w.stepFn)
 		} else {
 			w.pool.ForChunks(len(w.fr.list), w.stepListFn)
-			if w.plan.lossThresh != 0 {
-				w.quietLossPass(t, i)
-			}
 			// Flooding cost of every sleeping node, in one fold.
 			w.counters.AddAggregate(w.fr.quietMsgs, w.fr.quietBits)
 		}

@@ -115,16 +115,17 @@ type World struct {
 
 	// Reusable exchange scratch (Algorithm 2 preprocessing; see
 	// exchange.go). exchBFS holds one Byzantine node's k-ball. exchRecs
-	// holds one record per (victim, Byzantine channel) pair, grouped by
-	// victim, and exchEnd[v] is where v's records end; exchKeys holds
-	// their keys, k entries per record. All three are sized by a counting
-	// pass and reused across runs. The claimed-topology BFS stamps the
-	// nodes it reaches (exchSeen), the victim's claimers (exchClaimEpoch,
-	// with their index into exchClaims in exchClaimIdx) and the claimers'
-	// H-neighbours (exchNear) with exchEpoch, a fresh epoch per pass, so
-	// nothing is cleared between victims or runs; a victim whose claimed
-	// ball needs the phantom check gets its channel set, its own k-ball,
-	// from exchBFS.
+	// holds one record per (victim, Byzantine channel) pair twice: in
+	// Byzantine-node order in its first half, then grouped by victim in
+	// its second, where exchEnd[v] is where v's records end; exchKeys
+	// holds their keys, dist entries per record. All three are reused
+	// across runs. The claimed-topology BFS stamps the nodes it reaches
+	// (exchSeen), the victim's claimers (exchClaimEpoch, with their index
+	// into exchClaims in exchClaimIdx) and the claimers' H-neighbours
+	// (exchNear) with exchEpoch, a fresh epoch per pass, so nothing is
+	// cleared between victims or runs; a victim whose claimed ball needs
+	// the phantom check gets its channel set, its own k-ball, from
+	// exchBFS.
 	exchBFS        *graph.BFS
 	exchEnd        []int32
 	exchRecs       []exchRec

@@ -173,15 +173,6 @@ func checkSymmetric(offsets, adj []int32) error {
 	return nil
 }
 
-// FromCSRUnchecked adopts CSR arrays the caller guarantees already satisfy
-// Build's invariants (see FromCSR). The network generator's fast path uses
-// it for arrays it constructed row-by-row itself — its output is pinned
-// byte-identical to the reference generator by golden digest tests, so
-// revalidating every edge would only re-pay the generation cost.
-func FromCSRUnchecked(offsets, adj []int32) *Graph {
-	return &Graph{n: len(offsets) - 1, offsets: offsets, adj: adj}
-}
-
 func (g *Graph) adjSlice(v int32) []int32 {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }

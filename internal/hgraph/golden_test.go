@@ -2,12 +2,12 @@ package hgraph
 
 // golden_test.go pins the generator's output bit-for-bit: SHA-256 network
 // digests captured from the seed generator (the Builder-based lattice
-// closure and map-based ID set, kept in-tree as NewReference) across a
-// (n, d, k, seed) grid. The fast-path generator — direct-to-CSR BuildG,
-// pooled or serial, open-addressed AssignIDs — must reproduce every one
-// of them exactly, for any worker count. A digest change here means the
-// generator's output changed, which silently invalidates every cached
-// topology, golden run digest, and committed experiment table.
+// closure, which BuildG still is, and the map-based ID set, kept in-tree
+// as NewReference) across a (n, d, k, seed) grid. New, with its
+// open-addressed AssignIDs, must reproduce every one of them exactly. A
+// digest change here means the generator's output changed, which
+// silently invalidates every cached topology, golden run digest, and
+// committed experiment table.
 
 import (
 	"fmt"
@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/sim"
 )
 
 type goldenNetwork struct {
@@ -67,43 +66,14 @@ func TestGoldenNetworkDigestsReference(t *testing.T) {
 	for _, tc := range goldenNetworks {
 		tc := tc
 		t.Run(tc.name(), func(t *testing.T) {
-			net, g, err := NewReference(tc.p)
+			net, err := NewReference(tc.p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := net.digest(g); got != tc.digest {
+			if got := net.Digest(); got != tc.digest {
 				t.Errorf("reference digest mismatch:\n got %s\nwant %s", got, tc.digest)
 			}
 		})
-	}
-}
-
-// TestGoldenNetworkDigestsWorkerInvariant drives the pooled fast path at
-// several worker counts: chunked parallel row construction must stitch to
-// the identical CSR no matter how the node range is partitioned. The 32-
-// worker case exceeds n/chunkSize for the smaller grid entries, pinning
-// the empty-trailing-chunk path (a pool bigger than the work must not
-// corrupt or crash the stitch).
-func TestGoldenNetworkDigestsWorkerInvariant(t *testing.T) {
-	for _, workers := range []int{2, 3, 8, 32} {
-		pool := sim.NewPool(workers)
-		defer pool.Close()
-		for _, tc := range goldenNetworks {
-			net := MustNew(tc.p)
-			if got := net.digest(BuildGWith(net.H, net.K, pool)); got != tc.digest {
-				t.Errorf("%s with %d workers: digest %s, want %s", tc.name(), workers, got, tc.digest)
-			}
-		}
-	}
-}
-
-// TestBuildGRadiusEdgeCases pins the exported BuildG's off-grid radii
-// against the reference closure: k=0 (edgeless) and k=1 (simple(H)) —
-// inputs New never produces but the public API admits.
-func TestBuildGRadiusEdgeCases(t *testing.T) {
-	h := GenerateH(64, 6, rng.New(3))
-	for _, k := range []int{0, 1} {
-		sameGraph(t, fmt.Sprintf("k=%d", k), BuildG(h, k), buildGReference(h, k))
 	}
 }
 
@@ -113,7 +83,7 @@ func TestBuildGRadiusEdgeCases(t *testing.T) {
 // neither Params.Validate nor the codec bounds.
 func TestGRadiusBoundedByN(t *testing.T) {
 	radii := []int{15, 16, 1 << 28}
-	want := buildGReference(MustNew(Params{N: 16, D: 4, Seed: 3}).H, 15)
+	want := BuildG(MustNew(Params{N: 16, D: 4, Seed: 3}).H, 15)
 	_, wantAdj := want.CSR()
 	type built struct {
 		g *graph.Graph
@@ -140,16 +110,12 @@ func TestGRadiusBoundedByN(t *testing.T) {
 }
 
 // TestGBuiltOnceOnFirstUse: G keeps nothing, so concurrent callers of
-// G each build a graph equal to the one NewReference, the oracle,
-// returns, while concurrent first callers of S share one count, equal
-// to that graph's adjacency length.
+// G each build a graph equal to BuildG's closure of H, while concurrent
+// first callers of S share one count, equal to that graph's adjacency
+// length.
 func TestGBuiltOnceOnFirstUse(t *testing.T) {
-	p := Params{N: 512, D: 8, Seed: 17}
-	net := MustNew(p)
-	_, want, err := NewReference(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := MustNew(Params{N: 512, D: 8, Seed: 17})
+	want := BuildG(net.H, net.K)
 	_, wantAdj := want.CSR()
 	gs := make([]*graph.Graph, 8)
 	ss := make([]int, len(gs))
@@ -170,27 +136,23 @@ func TestGBuiltOnceOnFirstUse(t *testing.T) {
 	}
 }
 
-// TestBuildGWordBoundaries compares the closure with the reference, and
-// S's count with the reference's adjacency length, where a bitmap
-// off-by-one would show and the golden grid does not reach:
-// node counts on both sides of 64-bit word boundaries, degrees up to 16,
-// and radii up to 6, where balls cover the whole graph. n = 4095..4097
-// straddles the first summary word and is large enough for the pools to
-// split the node range. A hand-built multigraph adds parallel edges,
-// self-loops and an isolated node, which GenerateH rarely or never
-// produces.
-func TestBuildGWordBoundaries(t *testing.T) {
-	pools := closurePools(t)
+// TestCountSMatchesClosure compares S's count with the adjacency length
+// of BuildG's closure on inputs the golden grid does not reach: node
+// counts on both sides of 64-bit word boundaries, degrees up to 16, and
+// radii up to 6, where balls cover the whole graph, plus n = 4095..4097.
+// A hand-built multigraph adds parallel edges, self-loops and an
+// isolated node, which GenerateH rarely or never produces.
+func TestCountSMatchesClosure(t *testing.T) {
 	for _, d := range []int{4, 6, 8, 16} {
 		for _, n := range []int{d + 1, 63, 64, 65, 127, 128, 129} {
 			h := GenerateH(n, d, rng.New(uint64(n*d)))
 			for k := 0; k <= 6; k++ {
-				checkClosure(t, fmt.Sprintf("n=%d d=%d k=%d", n, d, k), h, k, pools)
+				checkClosure(t, fmt.Sprintf("n=%d d=%d k=%d", n, d, k), h, k)
 			}
 		}
 	}
 	for _, n := range []int{4095, 4096, 4097} {
-		checkClosure(t, fmt.Sprintf("n=%d d=4 k=3", n), GenerateH(n, 4, rng.New(uint64(n))), 3, pools)
+		checkClosure(t, fmt.Sprintf("n=%d d=4 k=3", n), GenerateH(n, 4, rng.New(uint64(n))), 3)
 	}
 
 	b := graph.NewBuilder(7) // node 5 is isolated; node 6 has only a self-loop
@@ -199,52 +161,32 @@ func TestBuildGWordBoundaries(t *testing.T) {
 	}
 	h := b.Build()
 	for k := 0; k <= 6; k++ {
-		checkClosure(t, fmt.Sprintf("hand-built k=%d", k), h, k, pools)
+		checkClosure(t, fmt.Sprintf("hand-built k=%d", k), h, k)
 	}
 }
 
-// FuzzBuildG compares the serial and pooled closures with the reference
-// on random small instances: n up to d+511, even d from 4 to 16, and k
-// from 0 to 6.
+// FuzzBuildG compares S's count with the adjacency length of BuildG's
+// closure on random small instances: n up to d+511, even d from 4 to 16,
+// and k from 0 to 6.
 func FuzzBuildG(f *testing.F) {
 	f.Add(uint16(64), uint8(2), uint8(3), uint64(1))
 	f.Add(uint16(129), uint8(6), uint8(6), uint64(2))
 	f.Add(uint16(300), uint8(0), uint8(1), uint64(3))
-	pools := closurePools(f)
 	f.Fuzz(func(t *testing.T, rawN uint16, rawD, rawK uint8, seed uint64) {
 		d := 4 + 2*int(rawD%7)
 		n := d + 1 + int(rawN%512)
 		k := int(rawK % 7)
 		h := GenerateH(n, d, rng.New(seed))
-		checkClosure(t, fmt.Sprintf("n=%d d=%d k=%d seed=%d", n, d, k, seed), h, k, pools)
+		checkClosure(t, fmt.Sprintf("n=%d d=%d k=%d seed=%d", n, d, k, seed), h, k)
 	})
 }
 
-// closurePools returns pools of 2, 3 and 32 workers, closed when tb
-// ends. 32 workers exceed n/chunk for most inputs, which leaves empty
-// trailing chunks.
-func closurePools(tb testing.TB) []*sim.Pool {
-	var pools []*sim.Pool
-	for _, workers := range []int{2, 3, 32} {
-		pool := sim.NewPool(workers)
-		tb.Cleanup(pool.Close)
-		pools = append(pools, pool)
-	}
-	return pools
-}
-
-// checkClosure compares BuildG, and BuildGWith on each pool, with the
-// reference closure of h at radius k, and countS with the reference's
-// adjacency length.
-func checkClosure(t testing.TB, what string, h *graph.Graph, k int, pools []*sim.Pool) {
+// checkClosure compares countS with the adjacency length of h's closure
+// at radius k.
+func checkClosure(t testing.TB, what string, h *graph.Graph, k int) {
 	t.Helper()
-	want := buildGReference(h, k)
-	sameGraph(t, what+" serial", BuildG(h, k), want)
-	for _, pool := range pools {
-		sameGraph(t, fmt.Sprintf("%s on %d workers", what, pool.Workers()), BuildGWith(h, k, pool), want)
-	}
-	if _, wantAdj := want.CSR(); countS(h, k) != len(wantAdj) {
-		t.Fatalf("%s: S = %d, want %d", what, countS(h, k), len(wantAdj))
+	if _, adj := BuildG(h, k).CSR(); countS(h, k) != len(adj) {
+		t.Fatalf("%s: S = %d, want %d", what, countS(h, k), len(adj))
 	}
 }
 
@@ -260,18 +202,16 @@ func sameGraph(t testing.TB, what string, got, want *graph.Graph) {
 }
 
 // TestFastPathMatchesReferenceRandomized widens the pinned grid with a
-// randomized sweep of parameters, comparing the fast path against the
-// reference generator structurally (digest equality covers both graphs,
-// K, and the ID draws).
+// randomized sweep of parameters, comparing New against the reference
+// generator structurally (digest equality covers both graphs, K, and the
+// ID draws).
 func TestFastPathMatchesReferenceRandomized(t *testing.T) {
-	pool := sim.NewPool(4)
-	defer pool.Close()
 	for seed := uint64(100); seed < 112; seed++ {
 		n := 64 + int(seed%7)*97
 		d := 4 + 2*int(seed%4)
 		k := int(seed % 3) // 0 = paper default
 		p := Params{N: n, D: d, K: k, Seed: seed}
-		ref, refG, err := NewReference(p)
+		ref, err := NewReference(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +219,7 @@ func TestFastPathMatchesReferenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ref.digest(refG) != fast.digest(BuildGWith(fast.H, fast.K, pool)) {
+		if ref.Digest() != fast.Digest() {
 			t.Errorf("params %+v: fast path diverges from reference", p)
 		}
 	}

@@ -5,12 +5,11 @@
 //     expander w.h.p. (Lemma 19).
 //   - L: the "lattice" overlay connecting every pair of nodes within
 //     H-distance k, k = ⌈d/3⌉.
-//   - G = H ∪ L: the small-world network the protocol runs on, built by
-//     growing every node's H-ball level by level in a row bitmap
-//     (BuildGWith). The engine never holds G: Algorithm 1 floods over H,
-//     and Algorithm 2's topology exchange needs only G's adjacency length
-//     (Network.S) and H-balls, so G is built only by the analysis code
-//     that reads it (Network.G).
+//   - G = H ∪ L: the small-world network the protocol runs on, built
+//     from every node's radius-k H-ball (BuildG). The engine never holds
+//     G: Algorithm 1 floods over H, and Algorithm 2's topology exchange
+//     needs only G's adjacency length (Network.S) and H-balls, so G is
+//     built only by the analysis code that reads it (Network.G).
 //
 // It also implements the structural machinery of the analysis: the
 // locally-tree-like classification (Definitions 7–8), the node taxonomy of
@@ -24,9 +23,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"math/bits"
-	"runtime"
-	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -93,7 +89,7 @@ func (net *Network) S() int {
 // from every node. stamp[x] is the epoch (source + 1) of the last search
 // that reached x, so no search clears what the previous one marked. A
 // search stops once a level adds no node, which bounds any k by n − 1
-// levels, as BuildGWith's cap does.
+// levels, as BuildG's cap does.
 //
 // The inner loop has no data-dependent branch: it writes every
 // neighbour y into the queue slot past the end and stamps it, and the
@@ -135,18 +131,9 @@ func countS(h *graph.Graph, k int) int {
 }
 
 // G builds the lattice network G = H ∪ L as a simple graph, anew on
-// every call: nothing keeps it. A network of parallelGenThreshold nodes
-// or more builds on a transient worker pool. Only analysis code reads G
-// (Digest, Classify, the structure experiments, netgen); the engine
-// needs only S.
-func (net *Network) G() *graph.Graph {
-	var pool *sim.Pool
-	if net.H.N() >= parallelGenThreshold && runtime.GOMAXPROCS(0) > 1 {
-		pool = sim.NewPool(0)
-		defer pool.Close()
-	}
-	return BuildGWith(net.H, net.K, pool)
-}
+// every call: nothing keeps it. Only analysis code reads G (Digest,
+// Classify, the structure experiments, netgen); the engine needs only S.
+func (net *Network) G() *graph.Graph { return BuildG(net.H, net.K) }
 
 // Validate checks parameter sanity.
 func (p Params) Validate() error {
@@ -180,166 +167,27 @@ func GenerateH(n, d int, src *rng.Source) *graph.Graph {
 
 // BuildG materializes G = H ∪ L as a simple graph: u~v in G iff
 // 1 <= dist_H(u,v) <= k. For constant d and k this is a constant-degree
-// graph (bounded by (d-1)^{k+1}, Observation 2). Serial; see BuildGWith
-// for the pooled variant.
+// graph (bounded by (d-1)^{k+1}, Observation 2). Each node's k-ball is
+// appended to an edge Builder, one edge per unordered pair, and Build's
+// counting sort lays out the sorted rows. This is the seed generator's
+// closure, from which the golden network digests were captured.
 func BuildG(h *graph.Graph, k int) *graph.Graph {
-	return BuildGWith(h, k, nil)
-}
-
-// BuildGWith is BuildG parallelized over nodes via pool (nil runs
-// serially). The row of v in G is exactly ball_H(v, k) \ {v}, grown
-// level by level from ball_0(v) = {v}: ball_i(v) is {v} together with
-// the level-(i-1) rows of v's H-neighbours. Each chunk of nodes ORs
-// those rows into one n-bit bitmap (bitRow), and reading the set bits
-// out in ascending order yields the sorted, deduplicated row directly,
-// so nothing is ever sorted or merged. Parallel edges and self-loops
-// only set bits already set. The final level drops the center to
-// become G's adjacency.
-//
-// Each level is one chunked parallel pass reading only the previous
-// level's arrays (rowPass): workers emit finished rows into per-chunk
-// slabs, and since sim.Pool chunks are contiguous disjoint node ranges,
-// a prefix sum over the degree vector lands each slab in the level's
-// CSR with a single copy — no intermediate edge list and no counting
-// sort.
-//
-// The output is byte-identical to the reference builder (same offsets,
-// same sorted rows), pinned by the golden network digest tests.
-func BuildGWith(h *graph.Graph, k int, pool *sim.Pool) *graph.Graph {
 	n := h.N()
-	// No H-distance exceeds n-1, so every ball is complete by level n-1:
-	// the bound leaves G unchanged, and a huge K (which neither Validate
-	// nor the codec rejects) costs at most n-1 levels.
+	// No H-distance exceeds n-1, so every ball is complete by radius
+	// n-1: the bound leaves G unchanged, and a huge K (which neither
+	// Validate nor the codec rejects) cannot overflow the BFS radius.
 	k = min(k, n-1)
-	if k <= 0 {
-		// A radius-0 ball is just {v}: G has no edges (matching the
-		// reference builder; New never passes 0, which canonicalizes to
-		// the paper's default radius).
-		return graph.FromCSRUnchecked(make([]int32, n+1), nil)
-	}
-	hOff, hAdj := h.CSR()
-	d := len(hAdj) / max(n, 1)
-	off, adj := make([]int32, n+1), make([]int32, n) // level 0: ball_0(v) = {v}
-	for v := range adj {
-		adj[v], off[v+1] = int32(v), int32(v+1)
-	}
-	for i := 1; i <= k; i++ {
-		prevOff, prevAdj, final := off, adj, i == k
-		// d neighbours' mean rows plus the center: exact at level 1, an
-		// overestimate once balls overlap.
-		sizeHint := min(len(prevAdj)/max(n, 1)*d+1, n)
-		off, adj = rowPass(n, pool, sizeHint, func(v int, row *bitRow, out []int32) []int32 {
-			row.add(int32(v))
-			for _, w := range hAdj[hOff[v]:hOff[v+1]] {
-				for _, x := range prevAdj[prevOff[w]:prevOff[w+1]] {
-					row.add(x)
-				}
-			}
-			if final {
-				row.remove(int32(v))
-			}
-			return row.drain(out)
-		})
-	}
-	return graph.FromCSRUnchecked(off, adj)
-}
-
-// bitRow is a chunk's scratch row: an n-bit set with one summary bit per
-// 64-bit word, so draining it costs in proportion to the words it
-// touched rather than to n.
-type bitRow struct {
-	words   []uint64 // bit x%64 of words[x/64] is node x
-	summary []uint64 // bit j%64 of summary[j/64] is set if words[j] may be non-zero
-}
-
-func newBitRow(n int) *bitRow {
-	nw := (n + 63) / 64
-	return &bitRow{words: make([]uint64, nw), summary: make([]uint64, (nw+63)/64)}
-}
-
-func (r *bitRow) add(x int32) {
-	r.words[x>>6] |= 1 << (x & 63)
-	r.summary[x>>12] |= 1 << ((x >> 6) & 63)
-}
-
-func (r *bitRow) remove(x int32) { r.words[x>>6] &^= 1 << (x & 63) }
-
-// drain appends the row's members to out in ascending order and leaves
-// the row empty.
-func (r *bitRow) drain(out []int32) []int32 {
-	for s, sw := range r.summary {
-		if sw == 0 {
-			continue
-		}
-		r.summary[s] = 0
-		for ; sw != 0; sw &= sw - 1 {
-			j := s<<6 | bits.TrailingZeros64(sw)
-			base := int32(j << 6)
-			w := r.words[j]
-			r.words[j] = 0
-			for ; w != 0; w &= w - 1 {
-				out = append(out, base|int32(bits.TrailingZeros64(w)))
-			}
-		}
-	}
-	return out
-}
-
-// rowPass builds one CSR level in parallel: emit appends node v's
-// finished sorted row to its slab and returns it, using row, the
-// chunk's scratch bitmap, which it must leave empty. Chunk ranges from
-// sim.Pool are contiguous and disjoint, so each chunk's slab is the
-// exact concatenation of its rows in node order and stitching is one
-// copy per shard after a prefix sum over the degree vector.
-func rowPass(n int, pool *sim.Pool, sizeHint int, emit func(v int, row *bitRow, out []int32) []int32) (offsets, adj []int32) {
-	deg := make([]int32, n)
-	type shard struct {
-		start int
-		rows  []int32
-	}
-	var (
-		mu     sync.Mutex
-		shards []shard
-	)
-	build := func(start, end int) {
-		if start >= end {
-			// Pools larger than n/chunkSize emit trailing chunks whose
-			// clamped range is empty; recording them would index
-			// offsets[start] past the end during stitching.
-			return
-		}
-		row := newBitRow(n)
-		slab := make([]int32, 0, sizeHint*(end-start))
-		for v := start; v < end; v++ {
-			base := len(slab)
-			slab = emit(v, row, slab)
-			deg[v] = int32(len(slab) - base)
-		}
-		mu.Lock()
-		shards = append(shards, shard{start: start, rows: slab})
-		mu.Unlock()
-	}
-	if pool == nil {
-		build(0, n)
-	} else {
-		pool.ForChunks(n, build)
-	}
-
-	offsets = make([]int32, n+1)
-	total := int64(0)
+	b := graph.NewBuilder(n)
+	scratch := graph.NewBFS(h)
 	for v := 0; v < n; v++ {
-		total += int64(deg[v])
-		if total > math.MaxInt32 {
-			panic(fmt.Sprintf("hgraph: level adjacency exceeds int32 entries at n=%d", n))
+		nodes, _ := graph.BallWith(scratch, v, k)
+		for _, w := range nodes {
+			if int(w) > v { // add each unordered pair once; skips loops
+				b.AddEdge(v, int(w))
+			}
 		}
-		offsets[v+1] = offsets[v] + deg[v]
 	}
-	adj = make([]int32, offsets[n])
-	slices.SortFunc(shards, func(a, b shard) int { return a.start - b.start })
-	for _, s := range shards {
-		copy(adj[offsets[s.start]:], s.rows)
-	}
-	return offsets, adj
+	return b.Build()
 }
 
 // AssignIDs draws n distinct 63-bit IDs uniformly at random. The ID space
@@ -382,12 +230,6 @@ func AssignIDs(n int, src *rng.Source) []uint64 {
 	return ids
 }
 
-// parallelGenThreshold is the node count below which Network.G builds G
-// serially instead of on a transient worker pool. Below it the closure
-// takes milliseconds on one core (BenchmarkBuildG: about 2 ms at n = 512
-// and 9–13 ms at n = 2048).
-const parallelGenThreshold = 4096
-
 // New generates a network instance from params: H, K and the IDs.
 func New(p Params) (*Network, error) {
 	if err := p.Validate(); err != nil {
@@ -404,22 +246,19 @@ func New(p Params) (*Network, error) {
 }
 
 // NewWith is New, keeping the signature its callers use. pool goes
-// unused: generation builds no G, and Network.G brings its own pool.
+// unused: generation builds no G.
 func NewWith(p Params, pool *sim.Pool) (*Network, error) {
 	return New(p)
 }
 
-// NewReference generates a network with the pre-fast-path generator and
-// returns it with its G: the Builder-based lattice closure, run eagerly,
-// and the map-based ID set, exactly as the seed engine shipped them. It
-// exists as the oracle the fast path is pinned against — the golden
-// digest tests assert that NewReference with its G and New with G agree
-// bit-for-bit across a parameter grid, and cmd/bench measures both so
-// every trajectory entry records the generation speedup on the same
-// machine.
-func NewReference(p Params) (*Network, *graph.Graph, error) {
+// NewReference generates a network with the seed generator's map-based
+// ID set instead of AssignIDs's open-addressed one. It exists as the
+// oracle the fast path is pinned against: the golden digest tests assert
+// that NewReference and New agree bit-for-bit across a parameter grid,
+// and cmd/bench times both.
+func NewReference(p Params) (*Network, error) {
 	if err := p.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	k := p.K
 	if k == 0 {
@@ -427,26 +266,8 @@ func NewReference(p Params) (*Network, *graph.Graph, error) {
 	}
 	src := rng.Split(p.Seed, 0x48475248) // "HGRH"
 	h := GenerateH(p.N, p.D, src)
-	g := buildGReference(h, k)
 	ids := assignIDsReference(p.N, rng.Split(p.Seed, 0x49445350)) // "IDSP"
-	return &Network{Params: p, H: h, K: k, IDs: ids}, g, nil
-}
-
-// buildGReference is the seed lattice closure: per-node balls appended to
-// an edge Builder, finalized by Build's counting sort.
-func buildGReference(h *graph.Graph, k int) *graph.Graph {
-	n := h.N()
-	b := graph.NewBuilder(n)
-	scratch := graph.NewBFS(h)
-	for v := 0; v < n; v++ {
-		nodes, _ := graph.BallWith(scratch, v, k)
-		for _, w := range nodes {
-			if int(w) > v { // add each unordered pair once; skips loops
-				b.AddEdge(v, int(w))
-			}
-		}
-	}
-	return b.Build()
+	return &Network{Params: p, H: h, K: k, IDs: ids}, nil
 }
 
 // assignIDsReference is the seed ID assignment with its map-based
@@ -472,10 +293,8 @@ func assignIDsReference(n int, src *rng.Source) []uint64 {
 // networks with equal digests are structurally identical to the engine
 // (same tables, same IDs), which is what the golden generator-identity
 // tests and the topology store's round-trip tests pin. It builds G.
-func (net *Network) Digest() string { return net.digest(net.G()) }
-
-// digest is Digest over a G the caller built.
-func (net *Network) digest(g *graph.Graph) string {
+func (net *Network) Digest() string {
+	g := net.G()
 	h := sha256.New()
 	var b [8]byte
 	put := func(x uint64) {

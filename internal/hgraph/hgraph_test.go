@@ -50,18 +50,21 @@ func TestDefaultK(t *testing.T) {
 	}
 }
 
+// TestBuildGMatchesBalls checks BuildG against H's distances: u~v in G
+// iff 1 <= dist_H(u,v) <= k. The k = 0 (edgeless) and k = 1 (simple(H))
+// cases are radii New never produces but the exported BuildG admits.
 func TestBuildGMatchesBalls(t *testing.T) {
-	h := GenerateH(80, 8, rng.New(3))
-	k := 2
-	g := BuildG(h, k)
-	// Ground truth: u~v in G iff 1 <= dist_H(u,v) <= k.
-	for u := 0; u < 80; u += 7 {
+	for _, tc := range []struct{ n, d, k, step int }{{80, 8, 2, 7}, {64, 6, 0, 1}, {64, 6, 1, 1}} {
+		h := GenerateH(tc.n, tc.d, rng.New(3))
+		g := BuildG(h, tc.k)
 		b := graph.NewBFS(h)
-		d := b.Run(u)
-		for v := 0; v < 80; v++ {
-			want := v != u && d[v] <= int32(k)
-			if got := g.HasEdge(u, v); got != want {
-				t.Fatalf("G edge (%d,%d) = %v, want %v (dist_H=%d)", u, v, got, want, d[v])
+		for u := 0; u < tc.n; u += tc.step {
+			d := b.Run(u)
+			for v := 0; v < tc.n; v++ {
+				want := v != u && d[v] <= int32(tc.k)
+				if got := g.HasEdge(u, v); got != want {
+					t.Fatalf("n=%d d=%d k=%d: G edge (%d,%d) = %v, want %v (dist_H=%d)", tc.n, tc.d, tc.k, u, v, got, want, d[v])
+				}
 			}
 		}
 	}
