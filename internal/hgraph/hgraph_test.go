@@ -50,21 +50,34 @@ func TestDefaultK(t *testing.T) {
 	}
 }
 
-// TestBuildGMatchesBalls checks BuildG against H's distances: u~v in G
-// iff 1 <= dist_H(u,v) <= k. The k = 0 (edgeless) and k = 1 (simple(H))
-// cases are radii New never produces but the exported BuildG admits.
+// TestBuildGMatchesBalls checks BuildG against H's distances at the
+// radius New uses on small graphs.
 func TestBuildGMatchesBalls(t *testing.T) {
-	for _, tc := range []struct{ n, d, k, step int }{{80, 8, 2, 7}, {64, 6, 0, 1}, {64, 6, 1, 1}} {
-		h := GenerateH(tc.n, tc.d, rng.New(3))
-		g := BuildG(h, tc.k)
-		b := graph.NewBFS(h)
-		for u := 0; u < tc.n; u += tc.step {
-			d := b.Run(u)
-			for v := 0; v < tc.n; v++ {
-				want := v != u && d[v] <= int32(tc.k)
-				if got := g.HasEdge(u, v); got != want {
-					t.Fatalf("n=%d d=%d k=%d: G edge (%d,%d) = %v, want %v (dist_H=%d)", tc.n, tc.d, tc.k, u, v, got, want, d[v])
-				}
+	checkBalls(t, GenerateH(80, 8, rng.New(3)), 2, 7)
+}
+
+// TestBuildGRadiusEdgeCases checks the exported BuildG's off-grid radii
+// against H's distances: k=0 (edgeless) and k=1 (simple(H)) — inputs New
+// never produces but the public API admits.
+func TestBuildGRadiusEdgeCases(t *testing.T) {
+	h := GenerateH(64, 6, rng.New(3))
+	for _, k := range []int{0, 1} {
+		checkBalls(t, h, k, 1)
+	}
+}
+
+// checkBalls checks that u~v in BuildG(h, k) iff 1 <= dist_H(u,v) <= k,
+// for every step-th source u.
+func checkBalls(t *testing.T, h *graph.Graph, k, step int) {
+	t.Helper()
+	g := BuildG(h, k)
+	b := graph.NewBFS(h)
+	for u := 0; u < h.N(); u += step {
+		d := b.Run(u)
+		for v := 0; v < h.N(); v++ {
+			want := v != u && d[v] <= int32(k)
+			if got := g.HasEdge(u, v); got != want {
+				t.Fatalf("k=%d: G edge (%d,%d) = %v, want %v (dist_H=%d)", k, u, v, got, want, d[v])
 			}
 		}
 	}
